@@ -12,6 +12,10 @@
 //! * [`cell_key`] derives a stable 128-bit content key from the canonical
 //!   JSON of a cell's inputs ([`sm_core::hash::Fnv128`] — no
 //!   `RandomState`, stable across processes).
+//! * [`KeyedNet`] carries a network's content fingerprint with the network,
+//!   so it is computed once, not once per sweep or per cell; [`KeyPrefix`]
+//!   hashes a sweep's invariant key head once and only each cell's varying
+//!   last field after that. Both produce exactly the [`cell_key`] bytes.
 //! * [`ResultCache`] maps key → serialized result under a versioned
 //!   directory; every entry carries an integrity checksum, and corrupt,
 //!   truncated, or stale entries are rejected, evicted, and recomputed —
@@ -69,6 +73,7 @@ use serde::{Deserialize, Serialize};
 
 use sm_core::hash::{fnv64, Fnv128};
 use sm_core::parallel::{par_map_weighted_stream_cancellable, threads, CancelCheck, Cancelled};
+use sm_model::Network;
 
 use crate::iofault::{Disk, FaultyDisk, IoFaultPlan, RealDisk};
 use crate::json::{from_json, to_json, JsonError};
@@ -121,13 +126,72 @@ impl CacheKey {
 /// Returns [`JsonError`] when the inputs fail to serialize (the derived
 /// impls used for cell keys never do).
 pub fn cell_key<T: Serialize>(kind: &str, inputs: &T) -> Result<CacheKey, JsonError> {
-    let body = to_json(inputs)?;
+    let mut h = key_hasher(kind);
+    h.update(to_json(inputs)?.as_bytes());
+    Ok(CacheKey(h.finish()))
+}
+
+/// The hasher state every cell key starts from: schema version, kind tag,
+/// separator.
+fn key_hasher(kind: &str) -> Fnv128 {
     let mut h = Fnv128::new();
     h.update(&CACHE_SCHEMA_VERSION.to_le_bytes());
     h.update(kind.as_bytes());
     h.update(&[0]);
-    h.update(body.as_bytes());
-    Ok(CacheKey(h.finish()))
+    h
+}
+
+/// The sweep-invariant head of a family of [`cell_key`]s whose inputs
+/// differ only in their **last** field (the fault plan of a chaos cell, the
+/// config of a capacity sweep's comparison cell).
+///
+/// The compact JSON of a struct is everything up to `"last":`, then the
+/// last field's own JSON, then `}`. A `KeyPrefix` feeds the first part into
+/// the hasher once per sweep; [`KeyPrefix::key`] copies that state and
+/// hashes only the varying tail. The keys equal `cell_key(kind, inputs)`
+/// bit for bit, so stores written either way stay interchangeable.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyPrefix {
+    head: Fnv128,
+}
+
+impl KeyPrefix {
+    /// The prefix shared by every cell whose inputs agree with `inputs` on
+    /// all fields but the last; `last` is `inputs`' own last field (its
+    /// value does not matter, only where it sits).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError`] when either value fails to serialize, or when
+    /// `last` is not the final field of `inputs`.
+    pub fn new<T: Serialize, L: Serialize>(
+        kind: &str,
+        inputs: &T,
+        last: &L,
+    ) -> Result<KeyPrefix, JsonError> {
+        let body = to_json(inputs)?;
+        let tail = to_json(last)?;
+        let head = body
+            .strip_suffix('}')
+            .and_then(|b| b.strip_suffix(tail.as_str()))
+            .filter(|head| head.ends_with(':'))
+            .ok_or_else(|| JsonError::msg("key prefix: `last` is not the final field"))?;
+        let mut h = key_hasher(kind);
+        h.update(head.as_bytes());
+        Ok(KeyPrefix { head: h })
+    }
+
+    /// The key of the cell whose last field is `last`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError`] when `last` fails to serialize.
+    pub fn key<L: Serialize>(&self, last: &L) -> Result<CacheKey, JsonError> {
+        let mut h = self.head;
+        h.update(to_json(last)?.as_bytes());
+        h.update(b"}");
+        Ok(CacheKey(h.finish()))
+    }
 }
 
 /// Hex fingerprint of any serializable value — used to fold a network's
@@ -139,6 +203,47 @@ pub fn cell_key<T: Serialize>(kind: &str, inputs: &T) -> Result<CacheKey, JsonEr
 /// Returns [`JsonError`] when the value fails to serialize.
 pub fn content_fingerprint<T: Serialize>(value: &T) -> Result<String, JsonError> {
     Ok(format!("{:032x}", Fnv128::of(to_json(value)?.as_bytes())))
+}
+
+/// A network together with its [`content_fingerprint`], computed once when
+/// the value is built. Sweeps take a `KeyedNet` and fold the carried
+/// fingerprint into every cell key, so no request serializes the same
+/// network twice; because the fingerprint travels with the network value
+/// it cannot go stale.
+#[derive(Debug, Clone)]
+pub struct KeyedNet {
+    net: Network,
+    fingerprint: String,
+}
+
+impl KeyedNet {
+    /// Fingerprints `net` and keeps both together.
+    pub fn new(net: Network) -> KeyedNet {
+        let fingerprint = content_fingerprint(&net).expect("networks serialize");
+        KeyedNet { net, fingerprint }
+    }
+
+    /// The network.
+    pub fn net(&self) -> &Network {
+        &self.net
+    }
+
+    /// The network's content fingerprint (32 hex digits).
+    pub fn fingerprint(&self) -> &str {
+        &self.fingerprint
+    }
+}
+
+/// Whether `s` is the `digits`-digit zero-padded lowercase hex form of
+/// `value` (what `format!("{value:0digits$x}")` prints for a `value` that
+/// fits), checked without allocating.
+fn is_hex_of(s: &str, value: u128, digits: usize) -> bool {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    s.len() == digits
+        && s.bytes()
+            .rev()
+            .enumerate()
+            .all(|(i, b)| b == HEX[((value >> (4 * i)) & 0xf) as usize])
 }
 
 /// Hit/miss/eviction counters of a store or session, in the shape the
@@ -341,6 +446,32 @@ pub struct ResultCache {
     health: Mutex<HealthMachine>,
     gc: Option<Mutex<GcState>>,
     tmp_counter: AtomicU64,
+}
+
+/// A validated entry file: its contents and where the payload starts.
+struct Entry {
+    body: String,
+    payload_at: usize,
+}
+
+impl Entry {
+    fn payload(&self) -> &str {
+        &self.body[self.payload_at..]
+    }
+}
+
+/// Validates an entry body (header line, newline, payload) against `key`,
+/// returning the byte offset of the payload; `None` means corrupt, torn,
+/// or stale.
+fn payload_offset(body: &str, key: CacheKey) -> Option<usize> {
+    let (header, payload) = body.split_once('\n')?;
+    let h = from_json::<EntryHeader>(header).ok()?;
+    let valid = h.magic == CACHE_MAGIC
+        && h.version == CACHE_SCHEMA_VERSION
+        && is_hex_of(&h.key, key.0, 32)
+        && h.len == payload.len() as u64
+        && is_hex_of(&h.checksum, u128::from(fnv64(payload.as_bytes())), 16);
+    valid.then_some(header.len() + 1)
 }
 
 /// Parses an entry file name (`{32 hex}.json`) back to its key.
@@ -640,32 +771,17 @@ impl ResultCache {
     /// failure other than `NotFound` (e.g. an injected transient `EIO`)
     /// is indistinguishable from media corruption at this layer, so it
     /// takes the same evict-and-recompute path.
-    fn load_payload(&self, key: CacheKey) -> (Option<String>, bool) {
+    fn load_payload(&self, key: CacheKey) -> (Option<Entry>, bool) {
         let path = self.entry_path(key);
         let body = match self.disk.read_to_string(&path) {
             Ok(body) => body,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return (None, false),
             Err(_) => return (None, self.evict_entry(key)),
         };
-        let valid = match body.split_once('\n') {
-            Some((header, payload)) => match from_json::<EntryHeader>(header) {
-                Ok(h) => {
-                    h.magic == CACHE_MAGIC
-                        && h.version == CACHE_SCHEMA_VERSION
-                        && h.key == key.hex()
-                        && h.len == payload.len() as u64
-                        && h.checksum == format!("{:016x}", fnv64(payload.as_bytes()))
-                }
-                Err(_) => false,
-            },
-            None => false,
-        };
-        if valid {
-            let payload = body.split_once('\n').map(|(_, p)| p.to_string());
-            (payload, false)
-        } else {
+        match payload_offset(&body, key) {
+            Some(payload_at) => (Some(Entry { body, payload_at }), false),
             // Corrupt or stale: evict so the recomputed entry replaces it.
-            (None, self.evict_entry(key))
+            None => (None, self.evict_entry(key)),
         }
     }
 
@@ -725,13 +841,13 @@ impl CacheSession<'_> {
             delta.add_to(&self.store.totals);
             return None;
         }
-        let (payload, evicted) = self.store.load_payload(key);
+        let (entry, evicted) = self.store.load_payload(key);
         if evicted {
             delta.evictions = 1;
         }
-        let result = payload.and_then(|p| match from_json::<T>(&p) {
+        let result = entry.and_then(|e| match from_json::<T>(e.payload()) {
             Ok(v) => {
-                delta.bytes_read = p.len() as u64;
+                delta.bytes_read = e.payload().len() as u64;
                 Some(v)
             }
             Err(_) => {
@@ -945,6 +1061,26 @@ mod tests {
         assert_ne!(a, cell_key("t", &cell(4)).unwrap());
         assert_ne!(a, cell_key("other", &cell(3)).unwrap());
         assert_eq!(a.hex().len(), 32);
+    }
+
+    #[test]
+    fn key_prefix_matches_cell_key_and_rejects_a_non_final_field() {
+        #[derive(Serialize)]
+        struct Inputs {
+            label: String,
+            x: u64,
+        }
+        let inputs = |x| Inputs {
+            label: "net".into(),
+            x,
+        };
+        let prefix = KeyPrefix::new("t", &inputs(0), &0u64).unwrap();
+        for x in [0, 7, 15, 12345] {
+            assert_eq!(prefix.key(&x).unwrap(), cell_key("t", &inputs(x)).unwrap());
+        }
+        assert!(KeyPrefix::new("t", &inputs(0), &"net").is_err(), "not last");
+        // A tail that merely ends the same way is not the last field.
+        assert!(KeyPrefix::new("t", &inputs(15), &5u64).is_err(), "partial");
     }
 
     #[test]

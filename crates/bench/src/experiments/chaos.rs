@@ -28,47 +28,45 @@ use sm_model::Network;
 
 use sm_core::parallel::{CancelCheck, Cancelled};
 
-use crate::cas::{cached_cells_cancellable, cell_key, content_fingerprint, CacheKey, CacheSession};
+use crate::cas::{cached_cells_cancellable, CacheKey, CacheSession, KeyPrefix, KeyedNet};
 use crate::report::{pct, Table};
 
 /// Everything a chaos cell's result is a function of, serialized
-/// canonically for [`cell_key`]: the network (by content fingerprint), the
+/// canonically for [`cell_key`](crate::cas::cell_key): the network (by content fingerprint), the
 /// accelerator config, the (fixed) policy, and the cell's complete fault
 /// plan — seed, rates, budgets, and recovery settings included. Any single
-/// differing field changes the key.
+/// differing field changes the key. `plan` stays last: it is the one field
+/// that varies within a sweep (see [`chaos_keys`]).
 #[derive(Serialize)]
-struct ChaosKeyInputs {
-    network: String,
-    net_fingerprint: String,
-    config: AccelConfig,
-    policy: Policy,
-    plan: FaultPlan,
+pub(crate) struct ChaosKeyInputs {
+    pub(crate) network: String,
+    pub(crate) net_fingerprint: String,
+    pub(crate) config: AccelConfig,
+    pub(crate) policy: Policy,
+    pub(crate) plan: FaultPlan,
 }
 
-/// Per-cell cache key of a chaos sweep.
-fn chaos_cell_key(
+/// The cache keys of a chaos sweep's cells, one per plan, in order. The
+/// network, config and policy head of the key is hashed once ([`KeyPrefix`]);
+/// each key equals `cell_key(kind, &ChaosKeyInputs { .., plan })`.
+pub(crate) fn chaos_keys(
     kind: &str,
-    net: &Network,
-    net_fingerprint: &str,
+    net: &KeyedNet,
     config: &AccelConfig,
-    plan: &FaultPlan,
-) -> CacheKey {
-    cell_key(
-        kind,
-        &ChaosKeyInputs {
-            network: net.name().to_string(),
-            net_fingerprint: net_fingerprint.to_string(),
-            config: *config,
-            policy: Policy::shortcut_mining(),
-            plan: plan.clone(),
-        },
-    )
-    .expect("chaos cell inputs serialize")
-}
-
-/// One network fingerprint per sweep, shared by every cell key.
-fn net_fingerprint(net: &Network) -> String {
-    content_fingerprint(net).expect("networks serialize")
+    plans: impl IntoIterator<Item = FaultPlan>,
+) -> Vec<CacheKey> {
+    let inputs = ChaosKeyInputs {
+        network: net.net().name().to_string(),
+        net_fingerprint: net.fingerprint().to_string(),
+        config: *config,
+        policy: Policy::shortcut_mining(),
+        plan: FaultPlan::default(),
+    };
+    let prefix = KeyPrefix::new(kind, &inputs, &inputs.plan).expect("chaos cell inputs serialize");
+    plans
+        .into_iter()
+        .map(|plan| prefix.key(&plan).expect("fault plans serialize"))
+        .collect()
 }
 
 /// One point on a degradation curve.
@@ -200,7 +198,7 @@ pub fn chaos_degradation_with_budget_cached(
     on_cell: impl FnMut(usize, bool, &ChaosPoint),
 ) -> ChaosCurve {
     chaos_degradation_cancellable(
-        net,
+        &KeyedNet::new(net.clone()),
         config,
         seed,
         fractions,
@@ -218,12 +216,15 @@ pub fn chaos_degradation_with_budget_cached(
 /// each computed point, so cancellation stops the sweep at cell
 /// granularity after a contiguous streamed prefix.
 ///
+/// The network comes as a [`KeyedNet`], so its fingerprint — computed
+/// once by the caller — heads every cell key without re-serializing it.
+///
 /// # Errors
 ///
 /// Returns [`Cancelled`] when the check fired before the sweep completed.
 #[allow(clippy::too_many_arguments)]
 pub fn chaos_degradation_cancellable(
-    net: &Network,
+    keyed: &KeyedNet,
     config: AccelConfig,
     seed: u64,
     fractions: &[f64],
@@ -233,6 +234,7 @@ pub fn chaos_degradation_cancellable(
     on_cell: impl FnMut(usize, bool, &ChaosPoint),
     cancel: Option<CancelCheck<'_>>,
 ) -> Result<ChaosCurve, Cancelled> {
+    let net = keyed.net();
     let exp = sm_core::Experiment::new(config);
     let base_plan = FaultPlan::new(seed).with_dram_faults(dram_fault_rate);
     let base_plan = match retry_budget {
@@ -242,12 +244,13 @@ pub fn chaos_degradation_cancellable(
         }
         None => base_plan,
     };
-    let fp = net_fingerprint(net);
     let plan_for = |f: f64| base_plan.clone().with_bank_failures(f);
-    let keys: Vec<CacheKey> = fractions
-        .iter()
-        .map(|&f| chaos_cell_key("chaos-point", net, &fp, &config, &plan_for(f)))
-        .collect();
+    let keys = chaos_keys(
+        "chaos-point",
+        keyed,
+        &config,
+        fractions.iter().map(|&f| plan_for(f)),
+    );
     // Cost-aware dispatch: every point replays the same network, so the
     // MAC count is the per-cell cost estimate (uniform here, but the grid
     // variants mix networks upstream and inherit the same call shape).
@@ -437,7 +440,7 @@ pub fn chaos_grid_cached(
     on_cell: impl FnMut(usize, bool, &ChaosGridCell),
 ) -> ChaosGrid {
     chaos_grid_cancellable(
-        net,
+        &KeyedNet::new(net.clone()),
         config,
         seed,
         fractions,
@@ -453,12 +456,15 @@ pub fn chaos_grid_cached(
 /// [`chaos_grid_cached`] with a cooperative cancel check (deadlines, dead
 /// clients): consulted before dispatch and before each computed cell.
 ///
+/// The network comes as a [`KeyedNet`], so its fingerprint — computed
+/// once by the caller — heads every cell key without re-serializing it.
+///
 /// # Errors
 ///
 /// Returns [`Cancelled`] when the check fired before the sweep completed.
 #[allow(clippy::too_many_arguments)]
 pub fn chaos_grid_cancellable(
-    net: &Network,
+    keyed: &KeyedNet,
     config: AccelConfig,
     seed: u64,
     fractions: &[f64],
@@ -468,6 +474,7 @@ pub fn chaos_grid_cancellable(
     on_cell: impl FnMut(usize, bool, &ChaosGridCell),
     cancel: Option<CancelCheck<'_>>,
 ) -> Result<ChaosGrid, Cancelled> {
+    let net = keyed.net();
     let exp = sm_core::Experiment::new(config);
     let pairs: Vec<(f64, f64)> = fractions
         .iter()
@@ -483,11 +490,12 @@ pub fn chaos_grid_cancellable(
         }
         plan
     };
-    let fp = net_fingerprint(net);
-    let keys: Vec<CacheKey> = pairs
-        .iter()
-        .map(|&(f, r)| chaos_cell_key("chaos-grid-cell", net, &fp, &config, &plan_for(f, r)))
-        .collect();
+    let keys = chaos_keys(
+        "chaos-grid-cell",
+        keyed,
+        &config,
+        pairs.iter().map(|&(f, r)| plan_for(f, r)),
+    );
     let cells = cached_cells_cancellable(
         cache,
         &pairs,
@@ -678,7 +686,7 @@ pub fn chaos_grid3_cached(
     on_cell: impl FnMut(usize, bool, &ChaosGrid3Cell),
 ) -> ChaosGrid3 {
     chaos_grid3_cancellable(
-        net,
+        &KeyedNet::new(net.clone()),
         config,
         seed,
         fractions,
@@ -695,12 +703,15 @@ pub fn chaos_grid3_cached(
 /// [`chaos_grid3_cached`] with a cooperative cancel check (deadlines, dead
 /// clients): consulted before dispatch and before each computed cell.
 ///
+/// The network comes as a [`KeyedNet`], so its fingerprint — computed
+/// once by the caller — heads every cell key without re-serializing it.
+///
 /// # Errors
 ///
 /// Returns [`Cancelled`] when the check fired before the sweep completed.
 #[allow(clippy::too_many_arguments)]
 pub fn chaos_grid3_cancellable(
-    net: &Network,
+    keyed: &KeyedNet,
     config: AccelConfig,
     seed: u64,
     fractions: &[f64],
@@ -711,6 +722,7 @@ pub fn chaos_grid3_cancellable(
     on_cell: impl FnMut(usize, bool, &ChaosGrid3Cell),
     cancel: Option<CancelCheck<'_>>,
 ) -> Result<ChaosGrid3, Cancelled> {
+    let net = keyed.net();
     let exp = sm_core::Experiment::new(config);
     let triples: Vec<(f64, f64, f64)> = fractions
         .iter()
@@ -732,11 +744,12 @@ pub fn chaos_grid3_cancellable(
         }
         plan
     };
-    let fp = net_fingerprint(net);
-    let keys: Vec<CacheKey> = triples
-        .iter()
-        .map(|&(f, r, s)| chaos_cell_key("chaos-grid3-cell", net, &fp, &config, &plan_for(f, r, s)))
-        .collect();
+    let keys = chaos_keys(
+        "chaos-grid3-cell",
+        keyed,
+        &config,
+        triples.iter().map(|&(f, r, s)| plan_for(f, r, s)),
+    );
     let cells = cached_cells_cancellable(
         cache,
         &triples,
@@ -948,7 +961,7 @@ pub fn control_path_sweep_cached(
     on_cell: impl FnMut(usize, bool, &ControlPathPoint),
 ) -> ControlPathStudy {
     control_path_sweep_cancellable(
-        net,
+        &KeyedNet::new(net.clone()),
         config,
         seed,
         policies,
@@ -965,12 +978,15 @@ pub fn control_path_sweep_cached(
 /// (deadlines, dead clients): consulted before dispatch and before each
 /// computed point.
 ///
+/// The network comes as a [`KeyedNet`], so its fingerprint — computed
+/// once by the caller — heads every cell key without re-serializing it.
+///
 /// # Errors
 ///
 /// Returns [`Cancelled`] when the check fired before the sweep completed.
 #[allow(clippy::too_many_arguments)]
 pub fn control_path_sweep_cancellable(
-    net: &Network,
+    keyed: &KeyedNet,
     config: AccelConfig,
     seed: u64,
     policies: &[RecoveryPolicy],
@@ -980,6 +996,7 @@ pub fn control_path_sweep_cancellable(
     on_cell: impl FnMut(usize, bool, &ControlPathPoint),
     cancel: Option<CancelCheck<'_>>,
 ) -> Result<ControlPathStudy, Cancelled> {
+    let net = keyed.net();
     let exp = sm_core::Experiment::new(config);
     let pairs: Vec<(RecoveryPolicy, f64)> = policies
         .iter()
@@ -996,11 +1013,12 @@ pub fn control_path_sweep_cancellable(
         }
         plan
     };
-    let fp = net_fingerprint(net);
-    let keys: Vec<CacheKey> = pairs
-        .iter()
-        .map(|&(p, r)| chaos_cell_key("control-path-point", net, &fp, &config, &plan_for(p, r)))
-        .collect();
+    let keys = chaos_keys(
+        "control-path-point",
+        keyed,
+        &config,
+        pairs.iter().map(|&(p, r)| plan_for(p, r)),
+    );
     let points = cached_cells_cancellable(
         cache,
         &pairs,
@@ -1233,7 +1251,7 @@ pub fn scheduler_sweep_cached(
     on_cell: impl FnMut(usize, bool, &SchedulerPoint),
 ) -> SchedulerStudy {
     scheduler_sweep_cancellable(
-        net,
+        &KeyedNet::new(net.clone()),
         config,
         seed,
         policies,
@@ -1250,12 +1268,15 @@ pub fn scheduler_sweep_cached(
 /// dead clients): consulted before dispatch and before each computed
 /// point.
 ///
+/// The network comes as a [`KeyedNet`], so its fingerprint — computed
+/// once by the caller — heads every cell key without re-serializing it.
+///
 /// # Errors
 ///
 /// Returns [`Cancelled`] when the check fired before the sweep completed.
 #[allow(clippy::too_many_arguments)]
 pub fn scheduler_sweep_cancellable(
-    net: &Network,
+    keyed: &KeyedNet,
     config: AccelConfig,
     seed: u64,
     policies: &[RecoveryPolicy],
@@ -1265,6 +1286,7 @@ pub fn scheduler_sweep_cancellable(
     on_cell: impl FnMut(usize, bool, &SchedulerPoint),
     cancel: Option<CancelCheck<'_>>,
 ) -> Result<SchedulerStudy, Cancelled> {
+    let net = keyed.net();
     let exp = sm_core::Experiment::new(config);
     let pairs: Vec<(RecoveryPolicy, f64)> = policies
         .iter()
@@ -1281,11 +1303,12 @@ pub fn scheduler_sweep_cancellable(
         }
         plan
     };
-    let fp = net_fingerprint(net);
-    let keys: Vec<CacheKey> = pairs
-        .iter()
-        .map(|&(p, r)| chaos_cell_key("scheduler-point", net, &fp, &config, &plan_for(p, r)))
-        .collect();
+    let keys = chaos_keys(
+        "scheduler-point",
+        keyed,
+        &config,
+        pairs.iter().map(|&(p, r)| plan_for(p, r)),
+    );
     let points = cached_cells_cancellable(
         cache,
         &pairs,
@@ -1450,7 +1473,7 @@ pub fn retry_budget_sweep_cached(
     on_cell: impl FnMut(usize, bool, &RetryBudgetPoint),
 ) -> RetryBudgetStudy {
     retry_budget_sweep_cancellable(
-        net,
+        &KeyedNet::new(net.clone()),
         config,
         seed,
         dram_fault_rate,
@@ -1466,12 +1489,15 @@ pub fn retry_budget_sweep_cached(
 /// (deadlines, dead clients): consulted before dispatch and before each
 /// computed point.
 ///
+/// The network comes as a [`KeyedNet`], so its fingerprint — computed
+/// once by the caller — heads every cell key without re-serializing it.
+///
 /// # Errors
 ///
 /// Returns [`Cancelled`] when the check fired before the sweep completed.
 #[allow(clippy::too_many_arguments)]
 pub fn retry_budget_sweep_cancellable(
-    net: &Network,
+    keyed: &KeyedNet,
     config: AccelConfig,
     seed: u64,
     dram_fault_rate: f64,
@@ -1480,17 +1506,19 @@ pub fn retry_budget_sweep_cancellable(
     on_cell: impl FnMut(usize, bool, &RetryBudgetPoint),
     cancel: Option<CancelCheck<'_>>,
 ) -> Result<RetryBudgetStudy, Cancelled> {
+    let net = keyed.net();
     let exp = sm_core::Experiment::new(config);
     let plan_for = |budget: u32| {
         let base = FaultPlan::new(seed).with_dram_faults(dram_fault_rate);
         let stall = base.retry_stall_cycles;
         base.with_retry_budget(budget, stall)
     };
-    let fp = net_fingerprint(net);
-    let keys: Vec<CacheKey> = budgets
-        .iter()
-        .map(|&b| chaos_cell_key("retry-budget-point", net, &fp, &config, &plan_for(b)))
-        .collect();
+    let keys = chaos_keys(
+        "retry-budget-point",
+        keyed,
+        &config,
+        budgets.iter().map(|&b| plan_for(b)),
+    );
     let points = cached_cells_cancellable(
         cache,
         budgets,

@@ -17,7 +17,7 @@ use sm_model::{zoo, Network};
 
 use sm_core::parallel::{CancelCheck, Cancelled};
 
-use crate::cas::{cached_cells_cancellable, cell_key, content_fingerprint, CacheKey, CacheSession};
+use crate::cas::{cached_cells_cancellable, CacheKey, CacheSession, KeyPrefix, KeyedNet};
 use crate::paper;
 use crate::report::{geomean, mb, pct, Table};
 
@@ -50,26 +50,42 @@ pub struct ComparisonCell {
 /// Everything a [`ComparisonCell`] is a function of: the network (by
 /// content fingerprint) and the accelerator config. The baseline vs
 /// shortcut-mining policy pair is fixed and encoded in the key's kind tag.
+/// `config` stays last: it is what a capacity sweep varies (see
+/// [`compare_cell_keys`]).
 #[derive(Serialize)]
-struct CompareKeyInputs {
-    network: String,
-    net_fingerprint: String,
-    config: AccelConfig,
+pub(crate) struct CompareKeyInputs {
+    pub(crate) network: String,
+    pub(crate) net_fingerprint: String,
+    pub(crate) config: AccelConfig,
 }
 
-/// Per-cell cache key of a comparison sweep. Shared by Fig. 10/13/14/15,
-/// so e.g. a full report warms the cells once and every later figure (or
-/// service request) over the same (network, config) hits.
-pub(crate) fn compare_cell_key(net: &Network, config: &AccelConfig) -> CacheKey {
-    cell_key(
-        "compare-cell",
-        &CompareKeyInputs {
-            network: net.name().to_string(),
-            net_fingerprint: content_fingerprint(net).expect("networks serialize"),
-            config: *config,
-        },
-    )
-    .expect("compare cell inputs serialize")
+impl CompareKeyInputs {
+    fn of(net: &KeyedNet, config: AccelConfig) -> CompareKeyInputs {
+        CompareKeyInputs {
+            network: net.net().name().to_string(),
+            net_fingerprint: net.fingerprint().to_string(),
+            config,
+        }
+    }
+}
+
+/// The comparison-cell keys of one network under each of `configs`, in
+/// order. Shared by Fig. 10/13/14/15 and the service, so e.g. a full report
+/// warms the cells once and every later figure (or service request) over
+/// the same (network, config) hits. The network head of the key is hashed
+/// once ([`KeyPrefix`]); each key equals `cell_key("compare-cell", ..)`
+/// over the full [`CompareKeyInputs`].
+pub(crate) fn compare_cell_keys(
+    net: &KeyedNet,
+    configs: impl IntoIterator<Item = AccelConfig>,
+) -> Vec<CacheKey> {
+    let inputs = CompareKeyInputs::of(net, AccelConfig::default());
+    let prefix = KeyPrefix::new("compare-cell", &inputs, &inputs.config)
+        .expect("compare cell inputs serialize");
+    configs
+        .into_iter()
+        .map(|config| prefix.key(&config).expect("configs serialize"))
+        .collect()
 }
 
 /// Runs the baseline-vs-mined comparison and captures the primitives.
@@ -92,10 +108,11 @@ pub(crate) fn run_compare_cell(exp: &Experiment, net: &Network) -> ComparisonCel
 /// config, with per-cell result-cache consultation: cells already in
 /// `cache` are read back and only the missing networks are simulated.
 /// Cost-aware dispatch by MAC count; order preserved; `on_cell` streams
-/// each cell as it resolves in input order.
+/// each cell as it resolves in input order. Each network comes as a
+/// [`KeyedNet`], so its fingerprint is computed once by whoever built it.
 pub fn compare_cells(
     config: AccelConfig,
-    nets: &[Network],
+    nets: &[KeyedNet],
     cache: Option<&CacheSession<'_>>,
     on_cell: impl FnMut(usize, bool, &ComparisonCell),
 ) -> Vec<ComparisonCell> {
@@ -111,22 +128,33 @@ pub fn compare_cells(
 /// Returns [`Cancelled`] when the check fired before the sweep completed.
 pub fn compare_cells_cancellable(
     config: AccelConfig,
-    nets: &[Network],
+    nets: &[KeyedNet],
     cache: Option<&CacheSession<'_>>,
     on_cell: impl FnMut(usize, bool, &ComparisonCell),
     cancel: Option<CancelCheck<'_>>,
 ) -> Result<Vec<ComparisonCell>, Cancelled> {
     let exp = Experiment::new(config);
-    let keys: Vec<CacheKey> = nets.iter().map(|n| compare_cell_key(n, &config)).collect();
+    let keys: Vec<CacheKey> = nets
+        .iter()
+        .flat_map(|n| compare_cell_keys(n, [config]))
+        .collect();
     cached_cells_cancellable(
         cache,
         nets,
         &keys,
-        |net| net.total_macs(),
-        |net| run_compare_cell(&exp, net),
+        |n| n.net().total_macs(),
+        |n| run_compare_cell(&exp, n.net()),
         on_cell,
         cancel,
     )
+}
+
+/// The evaluated networks at `batch`, each fingerprinted once.
+pub(crate) fn keyed_networks(batch: usize) -> Vec<KeyedNet> {
+    zoo::evaluated_networks(batch)
+        .into_iter()
+        .map(KeyedNet::new)
+        .collect()
 }
 
 /// Fig. 10 data: feature-map traffic, baseline vs Shortcut Mining.
@@ -161,7 +189,7 @@ pub fn fig10_traffic_reduction_cached(
             "paper",
         ],
     );
-    let nets = zoo::evaluated_networks(batch);
+    let nets = keyed_networks(batch);
     let rows: Vec<(String, u64, u64, f64)> = compare_cells(config, &nets, cache, |_, _, _| {})
         .into_iter()
         .map(|c| {
@@ -283,7 +311,7 @@ pub fn fig13_throughput_cached(
             "img/s mined",
         ],
     );
-    let nets = zoo::evaluated_networks(batch);
+    let nets = keyed_networks(batch);
     let results: Vec<(String, f64, f64, f64, f64)> =
         compare_cells(config, &nets, cache, |_, _, _| {})
             .into_iter()

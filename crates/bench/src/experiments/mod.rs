@@ -56,7 +56,7 @@ pub use extensions::{
     ext_new_workloads, ext_pipeline_validation, ext_share_vs_benefit, ext_spill_order,
     ExtSweepResult,
 };
-pub(crate) use headline::{compare_cell_key, run_compare_cell};
+pub(crate) use headline::{compare_cell_keys, run_compare_cell};
 pub use headline::{
     compare_cells, compare_cells_cancellable, fig10_traffic_reduction,
     fig10_traffic_reduction_cached, fig11_traffic_breakdown, fig13_throughput,
@@ -94,4 +94,149 @@ pub fn all_tables(cfg: sm_accel::AccelConfig) -> Vec<crate::report::Table> {
         Box::new(move || fig17_intermediate_layers(cfg, 1).table),
     ];
     sm_core::parallel::par_map_auto(&jobs, |job| job())
+}
+
+#[cfg(test)]
+mod tests {
+    //! Key-equality properties: the prefix-hashed keys the sweeps use must
+    //! equal [`cell_key`] over the full inputs bit for bit, or every store
+    //! written before (or by the other path) would be orphaned.
+
+    use std::sync::OnceLock;
+
+    use proptest::prelude::*;
+    use proptest::test_runner::ProptestConfig;
+
+    use sm_accel::AccelConfig;
+    use sm_core::{FaultPlan, Policy, Protection, RecoveryPolicy};
+    use sm_model::zoo;
+
+    use super::chaos::{chaos_keys, ChaosKeyInputs};
+    use super::headline::{compare_cell_keys, CompareKeyInputs};
+    use crate::cas::{cell_key, CacheKey, KeyedNet};
+
+    /// The kind tags of the six chaos sweeps.
+    const CHAOS_KINDS: [&str; 6] = [
+        "chaos-point",
+        "chaos-grid-cell",
+        "chaos-grid3-cell",
+        "control-path-point",
+        "scheduler-point",
+        "retry-budget-point",
+    ];
+
+    const RECOVERY: [RecoveryPolicy; 4] = [
+        RecoveryPolicy::Abort,
+        RecoveryPolicy::RefetchTile,
+        RecoveryPolicy::RecomputeLayer,
+        RecoveryPolicy::Checkpoint,
+    ];
+
+    /// Zoo networks the properties draw from, fingerprinted once per run.
+    fn nets() -> &'static [KeyedNet] {
+        static NETS: OnceLock<Vec<KeyedNet>> = OnceLock::new();
+        NETS.get_or_init(|| {
+            ["toy_residual", "resnet18", "squeezenet_v11", "googlenet"]
+                .into_iter()
+                .flat_map(|name| [1, 2].map(|batch| zoo::try_by_name(name, batch).unwrap()))
+                .map(KeyedNet::new)
+                .collect()
+        })
+    }
+
+    /// A fault plan touching every field family the sweeps vary: seed,
+    /// rates, retry budget, site and control-path strikes, recovery.
+    fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
+        (
+            0u64..1_000_000,
+            (0.0f64..1.0, 0.0f64..0.6),
+            (0u32..16, 0u64..500),
+            0.0f64..1.0,
+            (0.0f64..1.0, 0.0f64..1.0),
+            0usize..RECOVERY.len(),
+        )
+            .prop_map(
+                |(seed, (banks, dram), (budget, stall), site, (bcu, sched), r)| {
+                    FaultPlan::new(seed)
+                        .with_bank_failures(banks)
+                        .with_dram_faults(dram)
+                        .with_retry_budget(budget, stall)
+                        .with_weight_faults(site, Protection::Parity)
+                        .with_pe_faults(site, Protection::Parity)
+                        .with_bcu_faults(bcu, Protection::Ecc)
+                        .with_scheduler_faults(sched, Protection::Ecc)
+                        .with_multi_bit(0.4, 0.1)
+                        .with_recovery(RECOVERY[r])
+                },
+            )
+    }
+
+    fn config(kib: u64) -> AccelConfig {
+        AccelConfig::default().with_fm_capacity(kib * 1024)
+    }
+
+    /// Keys name the entries of stores already on disk, so their bytes are
+    /// a published format: these two were written by the release that
+    /// introduced the store. A change here orphans every existing store and
+    /// must come with a `CACHE_SCHEMA_VERSION` bump.
+    #[test]
+    fn keys_match_the_published_format() {
+        let net = KeyedNet::new(zoo::toy_residual(1));
+        let plan = FaultPlan::new(7)
+            .with_bank_failures(0.0)
+            .with_dram_faults(0.0);
+        let chaos = chaos_keys("chaos-grid-cell", &net, &AccelConfig::default(), [plan]);
+        assert_eq!(chaos[0].hex(), "698a4ec0ae4be2ed9c9ec3c381f6801e");
+        let compare = compare_cell_keys(&net, [AccelConfig::default()]);
+        assert_eq!(compare[0].hex(), "3f8e3163c60f029cfb1f1df2503b70a4");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn chaos_prefix_keys_equal_full_cell_keys(
+            kind in 0usize..CHAOS_KINDS.len(),
+            net in 0usize..8,
+            kib in 16u64..8192,
+            plans in prop::collection::vec(plan_strategy(), 1..8),
+        ) {
+            let (kind, net, config) = (CHAOS_KINDS[kind], &nets()[net], config(kib));
+            let full: Vec<CacheKey> = plans
+                .iter()
+                .map(|plan| {
+                    let inputs = ChaosKeyInputs {
+                        network: net.net().name().to_string(),
+                        net_fingerprint: net.fingerprint().to_string(),
+                        config,
+                        policy: Policy::shortcut_mining(),
+                        plan: plan.clone(),
+                    };
+                    cell_key(kind, &inputs).unwrap()
+                })
+                .collect();
+            prop_assert_eq!(chaos_keys(kind, net, &config, plans), full);
+        }
+
+        #[test]
+        fn compare_prefix_keys_equal_full_cell_keys(
+            net in 0usize..8,
+            kibs in prop::collection::vec(16u64..8192, 1..10),
+        ) {
+            let net = &nets()[net];
+            let configs: Vec<AccelConfig> = kibs.iter().map(|&kib| config(kib)).collect();
+            let full: Vec<CacheKey> = configs
+                .iter()
+                .map(|&config| {
+                    let inputs = CompareKeyInputs {
+                        network: net.net().name().to_string(),
+                        net_fingerprint: net.fingerprint().to_string(),
+                        config,
+                    };
+                    cell_key("compare-cell", &inputs).unwrap()
+                })
+                .collect();
+            prop_assert_eq!(compare_cell_keys(net, configs), full);
+        }
+    }
 }

@@ -9,10 +9,9 @@
 
 use sm_accel::AccelConfig;
 use sm_core::Experiment;
-use sm_model::zoo;
 
-use super::headline::{compare_cell_key, compare_cells, run_compare_cell};
-use crate::cas::{cached_cells, CacheKey, CacheSession};
+use super::headline::{compare_cell_keys, compare_cells, keyed_networks, run_compare_cell};
+use crate::cas::{cached_cells, CacheKey, CacheSession, KeyedNet};
 use crate::report::{pct, Table};
 
 /// Sweep result: reduction (and speedup) per (x-value, network).
@@ -40,34 +39,34 @@ pub fn fig14_capacity_sweep_cached(
     batch: usize,
     cache: Option<&CacheSession<'_>>,
 ) -> SweepResult {
-    let nets = zoo::evaluated_networks(batch);
+    let nets = keyed_networks(batch);
     let mut table = Table::new(
         "Fig 14 - traffic reduction vs on-chip feature-map capacity",
         &["capacity (KiB)", "network", "reduction", "speedup"],
     );
-    let points: Vec<(u64, usize)> = [64u64, 128, 256, 320, 512, 1024, 2048, 4096]
-        .iter()
-        .flat_map(|&kib| (0..nets.len()).map(move |i| (kib, i)))
+    const CAPACITIES_KIB: [u64; 8] = [64, 128, 256, 320, 512, 1024, 2048, 4096];
+    let configs = CAPACITIES_KIB.map(|kib| base.with_fm_capacity(kib * 1024));
+    // Capacity-major points; each network's keys share one hashed prefix.
+    let points: Vec<(usize, usize)> = (0..CAPACITIES_KIB.len())
+        .flat_map(|c| (0..nets.len()).map(move |i| (c, i)))
         .collect();
-    let keys: Vec<CacheKey> = points
-        .iter()
-        .map(|&(kib, i)| compare_cell_key(&nets[i], &base.with_fm_capacity(kib * 1024)))
-        .collect();
+    let per_net: Vec<Vec<CacheKey>> = nets.iter().map(|n| compare_cell_keys(n, configs)).collect();
+    let keys: Vec<CacheKey> = points.iter().map(|&(c, i)| per_net[i][c]).collect();
     let cells = cached_cells(
         cache,
         &points,
         &keys,
-        |&(_, i)| nets[i].total_macs(),
-        |&(kib, i)| {
-            let exp = Experiment::new(base.with_fm_capacity(kib * 1024));
-            run_compare_cell(&exp, &nets[i])
-        },
+        |&(_, i)| nets[i].net().total_macs(),
+        |&(c, i)| run_compare_cell(&Experiment::new(configs[c]), nets[i].net()),
         |_, _, _| {},
     );
     let rows: Vec<(u64, String, f64, f64)> = points
         .iter()
         .zip(cells)
-        .map(|(&(kib, _), c)| (kib, c.network, c.traffic_reduction, c.speedup))
+        .map(|(&(c, _), cell)| {
+            let kib = CAPACITIES_KIB[c];
+            (kib, cell.network, cell.traffic_reduction, cell.speedup)
+        })
         .collect();
     for (kib, name, red, sp) in &rows {
         table.row(&[
@@ -98,9 +97,9 @@ pub fn fig15_batch_sweep_cached(
         "Fig 15 - traffic reduction vs batch size",
         &["batch", "network", "reduction", "speedup"],
     );
-    let points: Vec<sm_model::Network> = [1usize, 2, 4, 8]
+    let points: Vec<KeyedNet> = [1usize, 2, 4, 8]
         .iter()
-        .flat_map(|&batch| zoo::evaluated_networks(batch))
+        .flat_map(|&batch| keyed_networks(batch))
         .collect();
     let rows: Vec<(u64, String, f64, f64)> = compare_cells(config, &points, cache, |_, _, _| {})
         .into_iter()

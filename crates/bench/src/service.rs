@@ -36,7 +36,10 @@
 //! ([`crate::cas::content_fingerprint`]) into every cell key, so two
 //! different graphs sharing a name never alias in the store. For `graph` /
 //! `net_file` requests the `batch` field is ignored — the batch is baked
-//! into the document's input shape.
+//! into the document's input shape. Zoo networks are built and
+//! fingerprinted once per `(name, batch)` and kept in a small bounded memo
+//! for the life of the service, so a warm request pays only for probes
+//! and encoding.
 //!
 //! | kind | sweep | cell type |
 //! |---|---|---|
@@ -86,9 +89,10 @@
 //! `{"id":...,"event":"health","state":...}` events attributed to the
 //! request that observed the transition.
 
+use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
@@ -96,9 +100,9 @@ use serde::Serialize;
 use sm_accel::AccelConfig;
 use sm_core::parallel::{threads, CancelCheck, Cancelled};
 use sm_core::Experiment;
-use sm_model::{graph, zoo, Network};
+use sm_model::{graph, zoo};
 
-use crate::cas::{cached_cells_cancellable, CacheKey, ResultCache};
+use crate::cas::{cached_cells_cancellable, KeyedNet, ResultCache};
 use crate::experiments::{
     chaos_degradation_cancellable, chaos_grid3_cancellable, chaos_grid_cancellable,
     compare_cells_cancellable, control_path_sweep_cancellable, retry_budget_sweep_cancellable,
@@ -106,12 +110,65 @@ use crate::experiments::{
     DEFAULT_FRACTIONS, DEFAULT_GRID_FRACTIONS, DEFAULT_GRID_RATES, DEFAULT_GRID_SITE_RATES,
     DEFAULT_RETRY_BUDGETS, DEFAULT_SCHEDULER_RATES, SCHEDULER_POLICIES,
 };
-use crate::experiments::{compare_cell_key, run_compare_cell};
+use crate::experiments::{compare_cell_keys, run_compare_cell};
 use crate::json::{parse_value_document, to_json};
 
 /// Default capacity axis (KiB) for `capacity-sweep` requests — matches the
 /// Fig. 14 sweep.
 pub const DEFAULT_CAPACITIES_KIB: [u64; 8] = [64, 128, 256, 320, 512, 1024, 2048, 4096];
+
+/// Zoo networks the service keeps built and fingerprinted, by
+/// `(name, batch)`; the least recently used one makes room for a new one.
+const ZOO_MEMO_ENTRIES: usize = 32;
+
+/// The service's memo of zoo networks, each with its content fingerprint.
+///
+/// Zoo builders are pure functions of `(name, batch)`, so a memoized
+/// network is exactly what a rebuild would produce and serving from the
+/// memo cannot change a byte of output. It spares a warm request the
+/// rebuild and, above all, the whole-network serialization behind the
+/// fingerprint. Inline `graph` and `net_file` networks are never memoized:
+/// files change and documents are unbounded.
+#[derive(Default)]
+struct ZooMemo {
+    /// Most recently used last.
+    entries: Mutex<VecDeque<MemoEntry>>,
+}
+
+/// One memoized zoo network, keyed by `(name, batch)`.
+type MemoEntry = ((String, usize), Arc<KeyedNet>);
+
+impl ZooMemo {
+    fn get_or_build(&self, name: &str, batch: usize) -> Result<Arc<KeyedNet>, String> {
+        let find = |entries: &VecDeque<MemoEntry>| {
+            entries
+                .iter()
+                .position(|((n, b), _)| n == name && *b == batch)
+        };
+        {
+            let mut entries = self.entries.lock().expect("zoo memo lock");
+            if let Some(at) = find(&entries) {
+                let entry = entries.remove(at).expect("found entries are in range");
+                let net = Arc::clone(&entry.1);
+                entries.push_back(entry);
+                return Ok(net);
+            }
+        }
+        // Built outside the lock, so a cold build never stalls other
+        // requests; a racing build of the same network is merely redundant.
+        let net = zoo::try_by_name(name, batch)
+            .map_err(|e| format!("unknown network {name:?} at batch {batch}: {e}"))?;
+        let net = Arc::new(KeyedNet::new(net));
+        let mut entries = self.entries.lock().expect("zoo memo lock");
+        if find(&entries).is_none() {
+            if entries.len() == ZOO_MEMO_ENTRIES {
+                entries.pop_front();
+            }
+            entries.push_back(((name.to_string(), batch), Arc::clone(&net)));
+        }
+        Ok(net)
+    }
+}
 
 /// Service configuration for [`run_serve`].
 #[derive(Debug, Clone, Copy)]
@@ -209,12 +266,26 @@ fn parse_request(line: &str) -> Result<Request, (String, String)> {
     })
 }
 
-fn emit(out: &mut impl Write, line: &str) -> io::Result<()> {
-    out.write_all(line.as_bytes())?;
-    out.write_all(b"\n")?;
-    // Streaming is the point of the service: every event is visible to the
-    // client the moment its cell completes.
-    out.flush()
+/// Writes one request's event lines as they arrive. Streaming is the point
+/// of the service, so the output is flushed whenever no further line is
+/// ready yet and at the end of the request; lines that are already queued
+/// together (a run of cache hits) go out in one write.
+fn emit_stream(rx: &mpsc::Receiver<String>, out: &mut impl Write) -> io::Result<()> {
+    loop {
+        let line = match rx.try_recv() {
+            Ok(line) => line,
+            Err(mpsc::TryRecvError::Disconnected) => return out.flush(),
+            Err(mpsc::TryRecvError::Empty) => {
+                out.flush()?;
+                match rx.recv() {
+                    Ok(line) => line,
+                    Err(mpsc::RecvError) => return Ok(()),
+                }
+            }
+        };
+        out.write_all(line.as_bytes())?;
+        out.write_all(b"\n")?;
+    }
 }
 
 fn quoted(s: &str) -> String {
@@ -288,6 +359,7 @@ pub fn run_serve(
     // Store-health transitions already surfaced to the client.
     let last_health = AtomicU64::new(0);
     let inflight = Inflight::new(max_inflight);
+    let zoo_memo = ZooMemo::default();
     // The mux: per-request line queues, drained in admission order.
     let (mux_tx, mux_rx) = mpsc::channel::<mpsc::Receiver<String>>();
     let mut input_error: Option<io::Error> = None;
@@ -297,18 +369,17 @@ pub fn run_serve(
         let write_error = &write_error;
         let last_health = &last_health;
         let inflight = &inflight;
+        let zoo_memo = &zoo_memo;
         scope.spawn({
-            let mut output = output;
+            let mut output = io::BufWriter::new(output);
             move || {
                 for rx in mux_rx {
-                    for line in rx {
-                        if write_failed.load(Ordering::Relaxed) {
-                            continue; // drain and discard for a dead client
-                        }
-                        if let Err(e) = emit(&mut output, &line) {
-                            write_failed.store(true, Ordering::Relaxed);
-                            *write_error.lock().expect("write-error lock") = Some(e);
-                        }
+                    if write_failed.load(Ordering::Relaxed) {
+                        continue; // discard everything for a dead client
+                    }
+                    if let Err(e) = emit_stream(&rx, &mut output) {
+                        write_failed.store(true, Ordering::Relaxed);
+                        *write_error.lock().expect("write-error lock") = Some(e);
                     }
                 }
             }
@@ -347,7 +418,15 @@ pub fn run_serve(
             // request's queue); the semaphore only bounds execution.
             inflight.acquire();
             scope.spawn(move || {
-                handle_request(&req, store, &tx, options, write_failed, last_health);
+                handle_request(
+                    &req,
+                    store,
+                    zoo_memo,
+                    &tx,
+                    options,
+                    write_failed,
+                    last_health,
+                );
                 inflight.release();
             });
         }
@@ -363,24 +442,25 @@ pub fn run_serve(
     Ok(())
 }
 
-/// Resolves the request's network: inline `graph` document, then
-/// `net_file`, then zoo name. Ingested graphs carry their batch in the
-/// input shape; zoo names use the request's `batch` field.
-fn resolve_network(req: &Request) -> Result<Network, String> {
-    if let Some(doc) = &req.graph {
-        return graph::load(doc).map_err(|e| format!("invalid inline graph: {e}"));
-    }
-    if let Some(path) = &req.net_file {
+/// Resolves the request's network, fingerprinted: inline `graph` document,
+/// then `net_file`, then zoo name (through the memo). Ingested graphs carry
+/// their batch in the input shape; zoo names use the request's `batch`
+/// field.
+///
+/// Kept out of line: inlined into `handle_request`'s large body, graph
+/// loading ran ~1.5x slower (ResNet-152 document, 2-vCPU x86-64 VM).
+#[inline(never)]
+fn resolve_network(req: &Request, zoo_memo: &ZooMemo) -> Result<Arc<KeyedNet>, String> {
+    let ingested = if let Some(doc) = &req.graph {
+        graph::load(doc).map_err(|e| format!("invalid inline graph: {e}"))?
+    } else if let Some(path) = &req.net_file {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read net_file {path:?}: {e}"))?;
-        return graph::load(&text).map_err(|e| format!("invalid network file {path:?}: {e}"));
-    }
-    zoo::try_by_name(&req.network, req.batch).map_err(|e| {
-        format!(
-            "unknown network {:?} at batch {}: {e}",
-            req.network, req.batch
-        )
-    })
+        graph::load(&text).map_err(|e| format!("invalid network file {path:?}: {e}"))?
+    } else {
+        return zoo_memo.get_or_build(&req.network, req.batch);
+    };
+    Ok(Arc::new(KeyedNet::new(ingested)))
 }
 
 /// Surfaces a store-health transition (at most once per transition across
@@ -405,6 +485,7 @@ fn maybe_emit_health(
 fn handle_request(
     req: &Request,
     store: &ResultCache,
+    zoo_memo: &ZooMemo,
     tx: &mpsc::Sender<String>,
     options: &ServeOptions,
     write_failed: &AtomicBool,
@@ -413,7 +494,7 @@ fn handle_request(
     let t0 = Instant::now();
     let deadline_ms = req.deadline_ms.or(options.default_deadline_ms);
     let deadline = deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
-    let net = match resolve_network(req) {
+    let net = match resolve_network(req, zoo_memo) {
         Ok(net) => net,
         Err(msg) => {
             let _ = tx.send(error_line(&req.id, "unserviceable", &msg));
@@ -539,29 +620,30 @@ fn handle_request(
             )
             .map(|s| serialize(&s))
         }
-        "compare" => {
-            let nets = [net.clone()];
-            compare_cells_cancellable(config, &nets, Some(&session), on_cell!(), Some(cancel))
-                .map(|cells| serialize(&cells))
-        }
+        "compare" => compare_cells_cancellable(
+            config,
+            std::slice::from_ref(&*net),
+            Some(&session),
+            on_cell!(),
+            Some(cancel),
+        )
+        .map(|cells| serialize(&cells)),
         "capacity-sweep" => {
             let caps: &[u64] = req
                 .capacities_kib
                 .as_deref()
                 .unwrap_or(&DEFAULT_CAPACITIES_KIB);
-            let keys: Vec<CacheKey> = caps
+            let configs: Vec<AccelConfig> = caps
                 .iter()
-                .map(|&kib| compare_cell_key(&net, &config.with_fm_capacity(kib * 1024)))
+                .map(|&kib| config.with_fm_capacity(kib * 1024))
                 .collect();
+            let keys = compare_cell_keys(&net, configs.iter().copied());
             cached_cells_cancellable(
                 Some(&session),
-                caps,
+                &configs,
                 &keys,
-                |_| net.total_macs(),
-                |&kib| {
-                    let exp = Experiment::new(config.with_fm_capacity(kib * 1024));
-                    run_compare_cell(&exp, &net)
-                },
+                |_| net.net().total_macs(),
+                |&config| run_compare_cell(&Experiment::new(config), net.net()),
                 on_cell!(),
                 Some(cancel),
             )
@@ -893,5 +975,58 @@ mod tests {
         )
         .expect_err("the latched write error must surface");
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    /// Every name `zoo::try_by_name` resolves, aliases included.
+    const ZOO_NAMES: [&str; 24] = [
+        "resnet18",
+        "resnet34",
+        "resnet50",
+        "resnet101",
+        "resnet152",
+        "plain18",
+        "plain34",
+        "squeezenet_v10",
+        "squeezenet_v10_simple_bypass",
+        "squeezenet",
+        "squeezenet_v10_complex_bypass",
+        "squeezenet_v11",
+        "vgg16",
+        "alexnet",
+        "googlenet",
+        "mobilenet_v1",
+        "mobilenet_v2",
+        "mobilenet_tiny",
+        "densenet121",
+        "densenet169",
+        "toy_residual",
+        "resnet_tiny20",
+        "squeezenet_tiny",
+        "densenet_tiny4",
+    ];
+
+    #[test]
+    fn memoized_fingerprints_equal_fresh_ones_for_every_zoo_network() {
+        let memo = ZooMemo::default();
+        for batch in [1, 2] {
+            for name in ZOO_NAMES {
+                let fresh = zoo::try_by_name(name, batch).unwrap();
+                let keyed = memo.get_or_build(name, batch).unwrap();
+                assert_eq!(keyed.net(), &fresh, "{name} at batch {batch}");
+                assert_eq!(
+                    keyed.fingerprint(),
+                    crate::cas::content_fingerprint(&fresh).unwrap(),
+                    "{name} at batch {batch}"
+                );
+            }
+        }
+        // The memo is bounded: the oldest entries made room for the newest,
+        // and a hit hands back the very same value without a rebuild.
+        let entries = memo.entries.lock().unwrap().len();
+        assert_eq!(entries, ZOO_MEMO_ENTRIES);
+        let a = memo.get_or_build("squeezenet_tiny", 2).unwrap();
+        let b = memo.get_or_build("squeezenet_tiny", 2).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(memo.get_or_build("nope", 1).is_err());
     }
 }

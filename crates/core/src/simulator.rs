@@ -1631,11 +1631,15 @@ impl<'a> Sim<'a> {
             } else {
                 self.policy.spill_order
             };
+            // Ties on next use break by feature-map index: `fms` iterates in
+            // hash order, so without the tie-break the victim (and every
+            // number downstream of it) would vary from run to run.
             match order {
-                SpillOrder::FarthestJunctionFirst => {
-                    victims.sort_by_key(|&(_, next_use)| std::cmp::Reverse(next_use))
+                SpillOrder::FarthestJunctionFirst => victims
+                    .sort_unstable_by_key(|&(fm, next_use)| (std::cmp::Reverse(next_use), fm)),
+                SpillOrder::NearestJunctionFirst => {
+                    victims.sort_unstable_by_key(|&(fm, next_use)| (next_use, fm))
                 }
-                SpillOrder::NearestJunctionFirst => victims.sort_by_key(|&(_, next_use)| next_use),
             }
             let (fm, _) = victims[0];
             let r = self.fms.get_mut(&fm).ok_or_else(|| SimError::Invariant {
