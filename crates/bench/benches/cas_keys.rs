@@ -8,17 +8,18 @@
 //!   service's zoo memo and [`KeyedNet`] avoid repeating;
 //! * a sweep's chaos keys via full [`cell_key`] per cell vs one
 //!   [`KeyPrefix`] per sweep plus a hashed tail per cell;
-//! * entry encode (`to_json`), decode (`from_json`) and a warm store probe
+//! * entry encode (`to_string`), decode (`from_str`) and a warm store probe
 //!   (`CacheSession::get`) per cell type.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use serde::json::{from_str, to_string};
 use serde::Serialize;
 use sm_accel::AccelConfig;
-use sm_bench::cas::{cell_key, content_fingerprint, KeyPrefix, KeyedNet, ResultCache};
+use sm_bench::cas::{cell_key, content_fingerprint, KeyPrefix, KeyedNet, ResultCache, RunCtx};
 use sm_bench::experiments::{chaos_grid3, compare_cells, ChaosGrid3Cell, ComparisonCell};
-use sm_bench::json::{from_json, to_json};
+use sm_bench::sweep::SweepAxes;
 use sm_core::{FaultPlan, Policy};
 use sm_model::zoo;
 
@@ -77,24 +78,20 @@ fn bench_keys(c: &mut Criterion) {
 }
 
 fn bench_entries(c: &mut Criterion) {
-    let net = zoo::toy_residual(1);
-    let grid = chaos_grid3(
-        &net,
-        AccelConfig::default(),
-        1,
-        &[0.1],
-        &[0.05],
-        &[0.3],
-        None,
-    );
+    let net = KeyedNet::new(zoo::toy_residual(1));
+    let axes = SweepAxes {
+        seed: 1,
+        fractions: Some(vec![0.1]),
+        rates: Some(vec![0.05]),
+        site_rates: Some(vec![0.3]),
+        ..SweepAxes::default()
+    };
+    let plain = RunCtx::default();
+    let grid = chaos_grid3(&net, AccelConfig::default(), &axes, &plain, &mut ()).unwrap();
     let grid_cell: ChaosGrid3Cell = grid.cells[0].clone();
-    let cmp_cell: ComparisonCell = compare_cells(
-        AccelConfig::default(),
-        &[KeyedNet::new(net)],
-        None,
-        |_, _, _| {},
-    )
-    .remove(0);
+    let cmp_cell: ComparisonCell = compare_cells(&net, &[AccelConfig::default()], &plain, &mut ())
+        .unwrap()
+        .remove(0);
 
     let dir = std::env::temp_dir().join(format!("sm-bench-cas-keys-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -104,13 +101,13 @@ fn bench_entries(c: &mut Criterion) {
     macro_rules! round_trip {
         ($label:literal, $cell:expr, $ty:ty) => {{
             let cell = $cell;
-            let payload = to_json(&cell).unwrap();
+            let payload = to_string(&cell).unwrap();
             let bytes = payload.len();
             c.bench_function(format!("entry encode {} ({bytes} B)", $label), |b| {
-                b.iter(|| black_box(to_json(&cell).unwrap()))
+                b.iter(|| black_box(to_string(&cell).unwrap()))
             });
             c.bench_function(format!("entry decode {} ({bytes} B)", $label), |b| {
-                b.iter(|| black_box(from_json::<$ty>(&payload).unwrap()))
+                b.iter(|| black_box(from_str::<$ty>(&payload).unwrap()))
             });
             let key = cell_key("bench-entry", &$label).unwrap();
             session.put(key, &cell);

@@ -24,14 +24,14 @@
 //!   observes its own hit/miss/eviction counters, so concurrent service
 //!   requests don't smear each other's rates, while the store accumulates
 //!   process totals (surfaced like `plan_cache_stats`).
-//! * [`cached_cells`] is the delta-simulation driver: it probes the cache
-//!   for every cell of a sweep and hands **only the missing cells** to
-//!   [`sm_core::parallel::par_map_weighted_stream`], merging cached and
-//!   computed results back into sweep order. A warm re-run that shares most
-//!   of its cells simulates only the delta and stays byte-identical to a
-//!   cold run at any thread count. [`cached_cells_cancellable`] is the same
-//!   driver with a cooperative cancel check — the deadline/abort hook of
-//!   the resident service.
+//! * [`run_cells`] runs a sweep by delta simulation: it probes the cache
+//!   for every cell and hands **only the missing cells** to
+//!   [`sm_core::parallel::par_map_stream`], merging cached and computed
+//!   results back into sweep order. A warm re-run that shares most of its
+//!   cells simulates only the delta and stays byte-identical to a cold run
+//!   at any thread count. Its [`RunCtx`] carries the optional cache session
+//!   and the optional cancel check — the deadline/abort hook of the
+//!   resident service.
 //!
 //! # Storage faults, health, and bounds
 //!
@@ -69,14 +69,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use serde::json::{from_str, to_string, JsonError};
 use serde::{Deserialize, Serialize};
 
 use sm_core::hash::{fnv64, Fnv128};
-use sm_core::parallel::{par_map_weighted_stream_cancellable, threads, CancelCheck, Cancelled};
+use sm_core::parallel::{par_map_stream, threads, CancelCheck, Cancelled};
 use sm_model::Network;
 
 use crate::iofault::{Disk, FaultyDisk, IoFaultPlan, RealDisk};
-use crate::json::{from_json, to_json, JsonError};
 
 /// On-disk schema version. Entries live under a `v{N}/` subdirectory and
 /// echo the version in their header, so a release that changes the result
@@ -127,7 +127,7 @@ impl CacheKey {
 /// impls used for cell keys never do).
 pub fn cell_key<T: Serialize>(kind: &str, inputs: &T) -> Result<CacheKey, JsonError> {
     let mut h = key_hasher(kind);
-    h.update(to_json(inputs)?.as_bytes());
+    h.update(to_string(inputs)?.as_bytes());
     Ok(CacheKey(h.finish()))
 }
 
@@ -169,8 +169,8 @@ impl KeyPrefix {
         inputs: &T,
         last: &L,
     ) -> Result<KeyPrefix, JsonError> {
-        let body = to_json(inputs)?;
-        let tail = to_json(last)?;
+        let body = to_string(inputs)?;
+        let tail = to_string(last)?;
         let head = body
             .strip_suffix('}')
             .and_then(|b| b.strip_suffix(tail.as_str()))
@@ -188,7 +188,7 @@ impl KeyPrefix {
     /// Returns [`JsonError`] when `last` fails to serialize.
     pub fn key<L: Serialize>(&self, last: &L) -> Result<CacheKey, JsonError> {
         let mut h = self.head;
-        h.update(to_json(last)?.as_bytes());
+        h.update(to_string(last)?.as_bytes());
         h.update(b"}");
         Ok(CacheKey(h.finish()))
     }
@@ -202,7 +202,7 @@ impl KeyPrefix {
 ///
 /// Returns [`JsonError`] when the value fails to serialize.
 pub fn content_fingerprint<T: Serialize>(value: &T) -> Result<String, JsonError> {
-    Ok(format!("{:032x}", Fnv128::of(to_json(value)?.as_bytes())))
+    Ok(format!("{:032x}", Fnv128::of(to_string(value)?.as_bytes())))
 }
 
 /// A network together with its [`content_fingerprint`], computed once when
@@ -465,7 +465,7 @@ impl Entry {
 /// or stale.
 fn payload_offset(body: &str, key: CacheKey) -> Option<usize> {
     let (header, payload) = body.split_once('\n')?;
-    let h = from_json::<EntryHeader>(header).ok()?;
+    let h = from_str::<EntryHeader>(header).ok()?;
     let valid = h.magic == CACHE_MAGIC
         && h.version == CACHE_SCHEMA_VERSION
         && is_hex_of(&h.key, key.0, 32)
@@ -524,7 +524,7 @@ impl ResultCache {
             }
             let mut clock = 1u64;
             if let Ok(body) = disk.read_to_string(&dir.join(MANIFEST_NAME)) {
-                if let Ok(manifest) = from_json::<Manifest>(&body) {
+                if let Ok(manifest) = from_str::<Manifest>(&body) {
                     clock = clock.max(manifest.clock);
                     for e in manifest.entries {
                         if let Ok(key) = u128::from_str_radix(&e.key, 16) {
@@ -754,7 +754,7 @@ impl ResultCache {
     }
 
     fn write_manifest(&self, manifest: &Manifest) -> io::Result<()> {
-        let body = to_json(manifest).map_err(|e| io::Error::other(e.to_string()))?;
+        let body = to_string(manifest).map_err(|e| io::Error::other(e.to_string()))?;
         let n = self.tmp_counter.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .dir
@@ -790,7 +790,7 @@ impl ResultCache {
     /// name folds in pid *and* a process-local counter so concurrent puts
     /// of the same key from one process can't collide.
     fn write_payload(&self, key: CacheKey, payload: &str) -> io::Result<u64> {
-        let header = to_json(&EntryHeader {
+        let header = to_string(&EntryHeader {
             magic: CACHE_MAGIC.to_string(),
             version: CACHE_SCHEMA_VERSION,
             key: key.hex(),
@@ -845,7 +845,7 @@ impl CacheSession<'_> {
         if evicted {
             delta.evictions = 1;
         }
-        let result = entry.and_then(|e| match from_json::<T>(e.payload()) {
+        let result = entry.and_then(|e| match from_str::<T>(e.payload()) {
             Ok(v) => {
                 delta.bytes_read = e.payload().len() as u64;
                 Some(v)
@@ -875,7 +875,7 @@ impl CacheSession<'_> {
     /// store's health machine, and in Degraded/Offline states the write
     /// may be skipped entirely (see [`StoreHealth`]).
     pub fn put<T: Serialize>(&self, key: CacheKey, value: &T) {
-        let Ok(payload) = to_json(value) else {
+        let Ok(payload) = to_string(value) else {
             return;
         };
         if !self.store.should_attempt_write() {
@@ -903,63 +903,48 @@ impl CacheSession<'_> {
     }
 }
 
-/// Runs one sweep with per-cell cache consultation: cached cells are read
-/// back, and **only the missing cells** are dispatched to
-/// [`sm_core::parallel::par_map_weighted_stream`] (largest-cost-first over
-/// the configured worker pool). Results come back in sweep order,
-/// byte-identical to the uncached sweep at any thread count.
+/// How a sweep runs its cells: an optional result-cache session and an
+/// optional cooperative cancel check. The default is neither — every cell
+/// is computed and nothing can stop the sweep.
+#[derive(Clone, Copy, Default)]
+pub struct RunCtx<'a> {
+    /// Session consulted for every cell; fresh results are written back.
+    pub cache: Option<&'a CacheSession<'a>>,
+    /// Checked before dispatch and before each computed cell (deadlines,
+    /// dead clients).
+    pub cancel: Option<CancelCheck<'a>>,
+}
+
+/// Runs one sweep's cells under `ctx`: cached cells are read back, and
+/// **only the missing cells** are dispatched to
+/// [`sm_core::parallel::par_map_stream`] (largest-cost-first over the
+/// configured worker pool). Results come back in sweep order,
+/// byte-identical to an uncached sweep at any thread count.
 ///
 /// * `keys[i]` must be the [`cell_key`] of `items[i]`.
 /// * `on_cell(i, cached, &result)` fires once per cell in strictly
 ///   ascending sweep order, as soon as every earlier cell is resolved —
 ///   the streaming hook the resident service emits per-cell JSON from.
 ///   `cached` says whether the cell was answered from the store.
-/// * With `session == None` the cache layer disappears: every cell is
-///   computed, `on_cell` still streams in order.
-///
-/// Freshly computed cells are written back to the store as they complete.
-pub fn cached_cells<T, U, C, F, G>(
-    session: Option<&CacheSession<'_>>,
-    items: &[T],
-    keys: &[CacheKey],
-    cost: C,
-    run: F,
-    on_cell: G,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Serialize + Deserialize + Send,
-    C: Fn(&T) -> u64,
-    F: Fn(&T) -> U + Sync,
-    G: FnMut(usize, bool, &U),
-{
-    cached_cells_cancellable(session, items, keys, cost, run, on_cell, None)
-        .expect("a dispatch without a cancel source cannot be cancelled")
-}
-
-/// [`cached_cells`] with a cooperative cancel check — the hook request
-/// deadlines and client-write failures use to stop a sweep at cell
-/// granularity.
-///
-/// The check is consulted once before dispatch (so an already-expired
-/// deadline cancels even a fully warm request, deterministically emitting
-/// zero cells) and then before each computed cell. On cancellation the
-/// cells already streamed through `on_cell` form a contiguous prefix of
-/// the sweep; no further cells fire and `Err(Cancelled)` is returned.
+/// * Freshly computed cells are written back to the store as they
+///   complete.
+/// * The cancel check is consulted once before dispatch (so an
+///   already-expired deadline cancels even a fully warm request,
+///   deterministically emitting zero cells) and then before each computed
+///   cell. On cancellation the cells already streamed form a contiguous
+///   prefix of the sweep; no further cells fire.
 ///
 /// # Errors
 ///
 /// Returns [`Cancelled`] when the cancel check fired before the sweep
 /// completed.
-#[allow(clippy::too_many_arguments)]
-pub fn cached_cells_cancellable<T, U, C, F, G>(
-    session: Option<&CacheSession<'_>>,
+pub fn run_cells<T, U, C, F, G>(
+    ctx: &RunCtx<'_>,
     items: &[T],
     keys: &[CacheKey],
     cost: C,
     run: F,
     mut on_cell: G,
-    cancel: Option<CancelCheck<'_>>,
 ) -> Result<Vec<U>, Cancelled>
 where
     T: Sync,
@@ -969,13 +954,13 @@ where
     G: FnMut(usize, bool, &U),
 {
     assert_eq!(items.len(), keys.len(), "one key per sweep cell");
-    let mut slots: Vec<Option<U>> = match session {
+    let mut slots: Vec<Option<U>> = match ctx.cache {
         Some(s) => keys.iter().map(|&k| s.get::<U>(k)).collect(),
         None => (0..items.len()).map(|_| None).collect(),
     };
     // Checked once up front so an already-fired cancel (deadline 0, dead
     // client) yields zero cells even when every cell is a cache hit.
-    if cancel.is_some_and(|c| c()) {
+    if ctx.cancel.is_some_and(|c| c()) {
         return Err(Cancelled);
     }
     let missing: Vec<usize> = (0..items.len()).filter(|&i| slots[i].is_none()).collect();
@@ -987,7 +972,7 @@ where
     // cached cell is ready by construction, so the gap before it is pure
     // cache hits.
     let mut frontier = 0usize;
-    let computed = par_map_weighted_stream_cancellable(
+    let computed = par_map_stream(
         &missing_items,
         threads(),
         |item| cost(item),
@@ -1001,13 +986,13 @@ where
                 on_cell(frontier, true, cached);
                 frontier += 1;
             }
-            if let Some(s) = session {
+            if let Some(s) = ctx.cache {
                 s.put(keys[gi], u);
             }
             on_cell(gi, false, u);
             frontier = gi + 1;
         },
-        cancel,
+        ctx.cancel,
     )?;
     // Trailing cache hits after the last computed cell.
     while frontier < slots.len() {
@@ -1327,8 +1312,16 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A context that reads and writes `session`, with no cancel check.
+    fn cached<'a>(session: &'a CacheSession<'a>) -> RunCtx<'a> {
+        RunCtx {
+            cache: Some(session),
+            cancel: None,
+        }
+    }
+
     #[test]
-    fn cached_cells_computes_only_the_delta_in_order() {
+    fn run_cells_computes_only_the_delta_in_order() {
         let dir = tmp_dir("delta");
         let store = ResultCache::open(&dir).unwrap();
         let items: Vec<u64> = (0..10).collect();
@@ -1340,14 +1333,15 @@ mod tests {
 
         let cold_session = store.session();
         let mut order = Vec::new();
-        let cold = cached_cells(
-            Some(&cold_session),
+        let cold = run_cells(
+            &cached(&cold_session),
             &items,
             &keys,
             |_| 1,
             run,
             |i, cached, _| order.push((i, cached)),
-        );
+        )
+        .unwrap();
         assert_eq!(cold, items.iter().map(|&x| cell(x)).collect::<Vec<_>>());
         assert_eq!(cold_session.stats().misses, 10);
         assert!(order.iter().all(|&(_, cached)| !cached));
@@ -1366,14 +1360,15 @@ mod tests {
             .collect();
         let warm_session = store.session();
         let mut order2 = Vec::new();
-        let warm = cached_cells(
-            Some(&warm_session),
+        let warm = run_cells(
+            &cached(&warm_session),
             &items2,
             &keys2,
             |_| 1,
             run,
             |i, cached, _| order2.push((i, cached)),
-        );
+        )
+        .unwrap();
         assert_eq!(warm, items2.iter().map(|&x| cell(x)).collect::<Vec<_>>());
         let s = warm_session.stats();
         assert_eq!((s.hits, s.misses), (9, 1), "{s:?}");
@@ -1385,28 +1380,30 @@ mod tests {
         assert!(order2.iter().filter(|&&(_, c)| c).count() == 9);
 
         // Fully warm: zero dispatches, still in order.
-        let full = cached_cells(
-            Some(&store.session()),
+        let full_session = store.session();
+        let full = run_cells(
+            &cached(&full_session),
             &items,
             &keys,
             |_| 1,
             run,
             |_, _, _| {},
-        );
+        )
+        .unwrap();
         assert_eq!(full, cold);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn cached_cells_without_a_session_streams_everything() {
+    fn run_cells_without_a_session_streams_everything() {
         let items: Vec<u64> = (0..5).collect();
         let keys: Vec<CacheKey> = items
             .iter()
             .map(|i| cell_key("nocache", i).unwrap())
             .collect();
         let mut count = 0;
-        let out = cached_cells(
-            None,
+        let out = run_cells(
+            &RunCtx::default(),
             &items,
             &keys,
             |_| 1,
@@ -1415,7 +1412,8 @@ mod tests {
                 assert!(!cached);
                 count += 1;
             },
-        );
+        )
+        .unwrap();
         assert_eq!(out.len(), 5);
         assert_eq!(count, 5);
     }
@@ -1427,25 +1425,31 @@ mod tests {
         let items: Vec<u64> = (0..6).collect();
         let keys: Vec<CacheKey> = items.iter().map(|i| cell_key("cw", i).unwrap()).collect();
         // Warm the store fully.
-        let _ = cached_cells(
-            Some(&store.session()),
+        let warm_session = store.session();
+        run_cells(
+            &cached(&warm_session),
             &items,
             &keys,
             |_| 1,
             |&x| cell(x),
             |_, _, _| {},
-        );
+        )
+        .unwrap();
         let fired = AtomicBool::new(true);
         let check = || fired.load(Ordering::Relaxed);
         let mut emitted = 0usize;
-        let out = cached_cells_cancellable(
-            Some(&store.session()),
+        let session = store.session();
+        let ctx = RunCtx {
+            cache: Some(&session),
+            cancel: Some(&check),
+        };
+        let out = run_cells(
+            &ctx,
             &items,
             &keys,
             |_| 1,
             |&x| cell(x),
             |_, _, _| emitted += 1,
-            Some(&check),
         );
         assert_eq!(out, Err(Cancelled));
         assert_eq!(emitted, 0, "a dead request emits nothing, even warm");
@@ -1453,30 +1457,23 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_without_cancel_matches_plain_cached_cells() {
+    fn never_firing_cancel_check_is_byte_identical_to_none() {
         let dir = tmp_dir("cancel-none");
         let store = ResultCache::open(&dir).unwrap();
         let items: Vec<u64> = (0..8).collect();
         let keys: Vec<CacheKey> = items.iter().map(|i| cell_key("cn", i).unwrap()).collect();
-        let plain = cached_cells(
-            Some(&store.session()),
-            &items,
-            &keys,
-            |_| 1,
-            |&x| cell(x),
-            |_, _, _| {},
-        );
-        let cancellable = cached_cells_cancellable(
-            Some(&store.session()),
-            &items,
-            &keys,
-            |_| 1,
-            |&x| cell(x),
-            |_, _, _| {},
-            None,
-        )
-        .unwrap();
-        assert_eq!(plain, cancellable);
+        let never = || false;
+        let run = |cancel: Option<CancelCheck<'_>>| {
+            let session = store.session();
+            let ctx = RunCtx {
+                cache: Some(&session),
+                cancel,
+            };
+            run_cells(&ctx, &items, &keys, |_| 1, |&x| cell(x), |_, _, _| {}).unwrap()
+        };
+        let unchecked = run(None);
+        let checked = run(Some(&never));
+        assert_eq!(unchecked, checked);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,8 +1,10 @@
 //! Graceful-degradation studies: traffic and throughput as hardware fails.
 //!
-//! Robustness extension beyond the paper, in five escalating sweeps:
+//! Robustness extension beyond the paper, in six sweeps:
 //!
 //! * [`chaos_degradation`] — bank-failure fractions on one network;
+//! * [`retry_budget_study`] — DRAM retry budgets at a fixed fault rate
+//!   ([`retry_budget_sweep`] is its cache-free form);
 //! * [`chaos_grid`] — bank-failure fraction × DRAM fault rate (2-D);
 //! * [`chaos_grid3`] — the 3-D volume adding a weight-SRAM/PE-array
 //!   site-strike axis under parity protection;
@@ -13,23 +15,28 @@
 //!   pin set, spill queue) comparing all four recovery tiers including
 //!   checkpoint/rollback.
 //!
-//! Every run executes in checked mode under a deterministic [`FaultPlan`],
-//! so an accounting violation would surface as a typed error in the report
-//! rather than a wrong number, and every sweep fans out over
-//! [`sm_core::parallel`] as one flattened batch — byte-identical at any
-//! thread count.
+//! Every sweep is one call of a private engine: it builds one
+//! deterministic [`FaultPlan`] per cell, runs each plan as one checked
+//! Shortcut Mining simulation through [`run_cells`] — result cache, cancel
+//! check and in-order cell streaming all come from the caller's
+//! [`RunCtx`] — and folds the outcome into the sweep's cell type. An
+//! accounting violation surfaces as a typed error in the report rather
+//! than a wrong number, and the cells fan out over [`sm_core::parallel`]
+//! as one flattened batch, byte-identical at any thread count. The
+//! [`SweepKind`](crate::sweep::SweepKind) registry is the one place the
+//! service and the CLI dispatch these sweeps from.
 
 use serde::{Deserialize, Serialize};
 
-use sm_accel::AccelConfig;
-use sm_core::{FaultPlan, Policy, Protection, RecoveryPolicy, SimOptions};
+use sm_accel::{AccelConfig, RunStats};
+use sm_core::parallel::Cancelled;
+use sm_core::{Experiment, FaultPlan, Policy, Protection, RecoveryPolicy, SimOptions};
 use sm_mem::TrafficClass;
 use sm_model::Network;
 
-use sm_core::parallel::{CancelCheck, Cancelled};
-
-use crate::cas::{cached_cells_cancellable, CacheKey, CacheSession, KeyPrefix, KeyedNet};
+use crate::cas::{run_cells, CacheKey, KeyPrefix, KeyedNet, RunCtx};
 use crate::report::{pct, Table};
+use crate::sweep::{CellSink, SweepAxes};
 
 /// Everything a chaos cell's result is a function of, serialized
 /// canonically for [`cell_key`](crate::cas::cell_key): the network (by content fingerprint), the
@@ -69,8 +76,69 @@ pub(crate) fn chaos_keys(
         .collect()
 }
 
+/// The engine behind every chaos sweep: one fault plan per point, one
+/// checked run per plan, each outcome folded into the sweep's cell type
+/// (`Err` carries the error's display form) and streamed to `sink` in
+/// index order. Cells are keyed under `kind` and run through
+/// [`run_cells`], so `ctx` decides caching and cancellation; every cell
+/// replays the same network, so the MAC count is the per-cell cost
+/// estimate.
+#[allow(clippy::too_many_arguments)]
+fn run_plans<P: Sync, U>(
+    kind: &str,
+    net: &KeyedNet,
+    config: AccelConfig,
+    ctx: &RunCtx<'_>,
+    points: &[P],
+    plan_for: impl Fn(&P) -> FaultPlan,
+    fold: impl Fn(&P, Result<&RunStats, String>) -> U + Sync,
+    sink: &mut impl CellSink,
+) -> Result<Vec<U>, Cancelled>
+where
+    U: Serialize + Deserialize + Send,
+{
+    let plans: Vec<FaultPlan> = points.iter().map(plan_for).collect();
+    let keys = chaos_keys(kind, net, &config, plans.iter().cloned());
+    let exp = Experiment::new(config);
+    let net = net.net();
+    let cells: Vec<usize> = (0..points.len()).collect();
+    run_cells(
+        ctx,
+        &cells,
+        &keys,
+        |_| net.total_macs(),
+        |&i| {
+            let options = SimOptions::with_faults(plans[i].clone());
+            match exp.run_checked(net, Policy::shortcut_mining(), &options) {
+                Ok(run) => fold(&points[i], Ok(&run.stats)),
+                Err(e) => fold(&points[i], Err(e.to_string())),
+            }
+        },
+        |i, cached, cell| sink.cell(i, cached, cell),
+    )
+}
+
+/// `plan` with the retry budget overridden when `budget` is `Some` (the
+/// `--retry-budget` knob), keeping the plan's stall per retry.
+fn with_budget(plan: FaultPlan, budget: Option<u32>) -> FaultPlan {
+    match budget {
+        Some(budget) => {
+            let stall = plan.retry_stall_cycles;
+            plan.with_retry_budget(budget, stall)
+        }
+        None => plan,
+    }
+}
+
+/// Every `(a, b)` pair, `a`-major.
+fn cross<A: Copy, B: Copy>(a: &[A], b: &[B]) -> Vec<(A, B)> {
+    a.iter()
+        .flat_map(|&x| b.iter().map(move |&y| (x, y)))
+        .collect()
+}
+
 /// One point on a degradation curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChaosPoint {
     /// Requested fraction of pool banks to fail.
     pub fail_fraction: f64,
@@ -143,172 +211,62 @@ impl ChaosCurve {
     }
 }
 
-/// Sweeps bank-failure fractions on one network, running Shortcut Mining in
-/// checked mode under a deterministic fault plan at each point.
-///
-/// `fractions` are clamped to `[0, 1]`; the first point is conventionally
-/// `0.0` so the curve anchors at fault-free behavior.
-pub fn chaos_degradation(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    dram_fault_rate: f64,
-) -> ChaosCurve {
-    chaos_degradation_with_budget(net, config, seed, fractions, dram_fault_rate, None)
-}
-
-/// [`chaos_degradation`] with an explicit retry budget (the `--retry-budget`
-/// knob). `None` keeps the [`FaultPlan`] default. Points are independent, so
-/// the sweep fans out over [`sm_core::parallel`]; sweep order is preserved.
-pub fn chaos_degradation_with_budget(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    dram_fault_rate: f64,
-    retry_budget: Option<u32>,
-) -> ChaosCurve {
-    chaos_degradation_with_budget_cached(
-        net,
-        config,
-        seed,
-        fractions,
-        dram_fault_rate,
-        retry_budget,
-        None,
-        |_, _, _| {},
-    )
-}
-
-/// [`chaos_degradation_with_budget`] with per-point result-cache
-/// consultation: points already in `cache` are read back and only the
-/// missing points are simulated (delta simulation). `on_cell` streams
-/// every point in sweep order as it resolves; the curve is byte-identical
-/// to the uncached sweep at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn chaos_degradation_with_budget_cached(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    dram_fault_rate: f64,
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ChaosPoint),
-) -> ChaosCurve {
-    chaos_degradation_cancellable(
-        &KeyedNet::new(net.clone()),
-        config,
-        seed,
-        fractions,
-        dram_fault_rate,
-        retry_budget,
-        cache,
-        on_cell,
-        None,
-    )
-    .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`chaos_degradation_with_budget_cached`] with a cooperative cancel
-/// check (deadlines, dead clients): consulted before dispatch and before
-/// each computed point, so cancellation stops the sweep at cell
-/// granularity after a contiguous streamed prefix.
-///
-/// The network comes as a [`KeyedNet`], so its fingerprint — computed
-/// once by the caller — heads every cell key without re-serializing it.
+/// Sweeps bank-failure fractions on one network (`axes.fractions`, default
+/// [`DEFAULT_FRACTIONS`]) at DRAM fault rate `axes.dram_rate`, one checked
+/// Shortcut Mining run per point. Fractions are clamped to `[0, 1]`; the
+/// first point is conventionally `0.0` so the curve anchors at fault-free
+/// behavior. `axes.retry_budget` overrides the [`FaultPlan`] default.
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-#[allow(clippy::too_many_arguments)]
-pub fn chaos_degradation_cancellable(
-    keyed: &KeyedNet,
+/// Returns [`Cancelled`] when `ctx`'s cancel check fired first.
+pub fn chaos_degradation(
+    net: &KeyedNet,
     config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    dram_fault_rate: f64,
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ChaosPoint),
-    cancel: Option<CancelCheck<'_>>,
+    axes: &SweepAxes,
+    ctx: &RunCtx<'_>,
+    sink: &mut impl CellSink,
 ) -> Result<ChaosCurve, Cancelled> {
-    let net = keyed.net();
-    let exp = sm_core::Experiment::new(config);
-    let base_plan = FaultPlan::new(seed).with_dram_faults(dram_fault_rate);
-    let base_plan = match retry_budget {
-        Some(budget) => {
-            let stall = base_plan.retry_stall_cycles;
-            base_plan.with_retry_budget(budget, stall)
-        }
-        None => base_plan,
-    };
-    let plan_for = |f: f64| base_plan.clone().with_bank_failures(f);
-    let keys = chaos_keys(
-        "chaos-point",
-        keyed,
-        &config,
-        fractions.iter().map(|&f| plan_for(f)),
+    let fractions = axes.fractions.as_deref().unwrap_or(&DEFAULT_FRACTIONS);
+    let base = with_budget(
+        FaultPlan::new(axes.seed).with_dram_faults(axes.dram_rate),
+        axes.retry_budget,
     );
-    // Cost-aware dispatch: every point replays the same network, so the
-    // MAC count is the per-cell cost estimate (uniform here, but the grid
-    // variants mix networks upstream and inherit the same call shape).
-    let points = cached_cells_cancellable(
-        cache,
+    let points = run_plans(
+        "chaos-point",
+        net,
+        config,
+        ctx,
         fractions,
-        &keys,
-        |_| net.total_macs(),
-        |&f| {
-            let options = SimOptions::with_faults(plan_for(f));
-            run_chaos_point(&exp, net, f, &options)
+        |&f| base.clone().with_bank_failures(f),
+        |&fail_fraction, run| match run {
+            Ok(s) => ChaosPoint {
+                fail_fraction,
+                banks_failed: s.faults.banks_failed,
+                completed: true,
+                error: None,
+                fm_bytes: s.fm_traffic_bytes(),
+                total_bytes: s.total_traffic_bytes(),
+                retry_bytes: s.ledger.class_bytes(TrafficClass::Retry),
+                evicted_bytes: s.faults.evicted_bytes,
+                total_cycles: s.total_cycles,
+                throughput_gops: s.throughput_gops(),
+            },
+            Err(error) => ChaosPoint {
+                fail_fraction,
+                error: Some(error),
+                ..ChaosPoint::default()
+            },
         },
-        on_cell,
-        cancel,
+        sink,
     )?;
     Ok(ChaosCurve {
-        network: net.name().to_string(),
-        seed,
-        dram_fault_rate,
-        max_retries: base_plan.max_retries,
+        network: net.net().name().to_string(),
+        seed: axes.seed,
+        dram_fault_rate: axes.dram_rate,
+        max_retries: base.max_retries,
         points,
     })
-}
-
-/// Runs one checked Shortcut Mining simulation and folds it into a
-/// [`ChaosPoint`].
-fn run_chaos_point(
-    exp: &sm_core::Experiment,
-    net: &Network,
-    fail_fraction: f64,
-    options: &SimOptions,
-) -> ChaosPoint {
-    match exp.run_checked(net, Policy::shortcut_mining(), options) {
-        Ok(run) => ChaosPoint {
-            fail_fraction,
-            banks_failed: run.stats.faults.banks_failed,
-            completed: true,
-            error: None,
-            fm_bytes: run.stats.fm_traffic_bytes(),
-            total_bytes: run.stats.total_traffic_bytes(),
-            retry_bytes: run.stats.ledger.class_bytes(TrafficClass::Retry),
-            evicted_bytes: run.stats.faults.evicted_bytes,
-            total_cycles: run.stats.total_cycles,
-            throughput_gops: run.stats.throughput_gops(),
-        },
-        Err(e) => ChaosPoint {
-            fail_fraction,
-            banks_failed: 0,
-            completed: false,
-            error: Some(e.to_string()),
-            fm_bytes: 0,
-            total_bytes: 0,
-            retry_bytes: 0,
-            evicted_bytes: 0,
-            total_cycles: 0,
-            throughput_gops: 0.0,
-        },
-    }
 }
 
 /// The default sweep: fault-free anchor plus five escalating fractions.
@@ -322,7 +280,7 @@ pub const DEFAULT_GRID_RATES: [f64; 3] = [0.0, 0.05, 0.2];
 
 /// One cell of the 2-D degradation grid: one checked run at a
 /// (bank-failure fraction, DRAM fault rate) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChaosGridCell {
     /// Requested fraction of pool banks to fail.
     pub bank_fail_fraction: f64,
@@ -397,141 +355,61 @@ impl ChaosGrid {
 }
 
 /// Sweeps the full cross product of bank-failure fractions × DRAM fault
-/// rates on one network, one checked Shortcut Mining run per cell.
+/// rates on one network (`axes.fractions` × `axes.rates`, defaults
+/// [`DEFAULT_GRID_FRACTIONS`] × [`DEFAULT_GRID_RATES`]), one checked
+/// Shortcut Mining run per cell.
 ///
-/// `retry_budget` overrides the [`FaultPlan`] default when `Some` (the
-/// `--retry-budget` knob). All cells share `seed`, so a cell's fault
-/// stream depends only on its own (fraction, rate) pair and the grid is
-/// deterministic for a fixed seed.
-pub fn chaos_grid(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    rates: &[f64],
-    retry_budget: Option<u32>,
-) -> ChaosGrid {
-    chaos_grid_cached(
-        net,
-        config,
-        seed,
-        fractions,
-        rates,
-        retry_budget,
-        None,
-        |_, _, _| {},
-    )
-}
-
-/// [`chaos_grid`] with per-cell result-cache consultation: cells already in
-/// `cache` are read back and only the missing cells are dispatched (delta
-/// simulation). `on_cell` streams every cell in row-major order as it
-/// resolves; the grid is byte-identical to the uncached sweep at any
-/// thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn chaos_grid_cached(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ChaosGridCell),
-) -> ChaosGrid {
-    chaos_grid_cancellable(
-        &KeyedNet::new(net.clone()),
-        config,
-        seed,
-        fractions,
-        rates,
-        retry_budget,
-        cache,
-        on_cell,
-        None,
-    )
-    .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`chaos_grid_cached`] with a cooperative cancel check (deadlines, dead
-/// clients): consulted before dispatch and before each computed cell.
-///
-/// The network comes as a [`KeyedNet`], so its fingerprint — computed
-/// once by the caller — heads every cell key without re-serializing it.
+/// `axes.retry_budget` overrides the [`FaultPlan`] default. All cells share
+/// `axes.seed`, so a cell's fault stream depends only on its own
+/// (fraction, rate) pair and the grid is deterministic for a fixed seed.
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-#[allow(clippy::too_many_arguments)]
-pub fn chaos_grid_cancellable(
-    keyed: &KeyedNet,
+/// Returns [`Cancelled`] when `ctx`'s cancel check fired first.
+pub fn chaos_grid(
+    net: &KeyedNet,
     config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ChaosGridCell),
-    cancel: Option<CancelCheck<'_>>,
+    axes: &SweepAxes,
+    ctx: &RunCtx<'_>,
+    sink: &mut impl CellSink,
 ) -> Result<ChaosGrid, Cancelled> {
-    let net = keyed.net();
-    let exp = sm_core::Experiment::new(config);
-    let pairs: Vec<(f64, f64)> = fractions
-        .iter()
-        .flat_map(|&f| rates.iter().map(move |&r| (f, r)))
-        .collect();
-    let plan_for = |f: f64, r: f64| {
-        let mut plan = FaultPlan::new(seed)
-            .with_bank_failures(f)
-            .with_dram_faults(r);
-        if let Some(budget) = retry_budget {
-            let stall = plan.retry_stall_cycles;
-            plan = plan.with_retry_budget(budget, stall);
-        }
-        plan
-    };
-    let keys = chaos_keys(
+    let fractions = axes.fractions.as_deref().unwrap_or(&DEFAULT_GRID_FRACTIONS);
+    let rates = axes.rates.as_deref().unwrap_or(&DEFAULT_GRID_RATES);
+    let cells = run_plans(
         "chaos-grid-cell",
-        keyed,
-        &config,
-        pairs.iter().map(|&(f, r)| plan_for(f, r)),
-    );
-    let cells = cached_cells_cancellable(
-        cache,
-        &pairs,
-        &keys,
-        |_| net.total_macs(),
+        net,
+        config,
+        ctx,
+        &cross(fractions, rates),
         |&(f, r)| {
-            let options = SimOptions::with_faults(plan_for(f, r));
-            match exp.run_checked(net, Policy::shortcut_mining(), &options) {
-                Ok(run) => ChaosGridCell {
-                    bank_fail_fraction: f,
-                    dram_fault_rate: r,
-                    completed: true,
-                    error: None,
-                    fm_bytes: run.stats.fm_traffic_bytes(),
-                    total_bytes: run.stats.total_traffic_bytes(),
-                    retry_bytes: run.stats.ledger.class_bytes(TrafficClass::Retry),
-                    total_cycles: run.stats.total_cycles,
-                },
-                Err(e) => ChaosGridCell {
-                    bank_fail_fraction: f,
-                    dram_fault_rate: r,
-                    completed: false,
-                    error: Some(e.to_string()),
-                    fm_bytes: 0,
-                    total_bytes: 0,
-                    retry_bytes: 0,
-                    total_cycles: 0,
-                },
-            }
+            let plan = FaultPlan::new(axes.seed)
+                .with_bank_failures(f)
+                .with_dram_faults(r);
+            with_budget(plan, axes.retry_budget)
         },
-        on_cell,
-        cancel,
+        |&(bank_fail_fraction, dram_fault_rate), run| match run {
+            Ok(s) => ChaosGridCell {
+                bank_fail_fraction,
+                dram_fault_rate,
+                completed: true,
+                error: None,
+                fm_bytes: s.fm_traffic_bytes(),
+                total_bytes: s.total_traffic_bytes(),
+                retry_bytes: s.ledger.class_bytes(TrafficClass::Retry),
+                total_cycles: s.total_cycles,
+            },
+            Err(error) => ChaosGridCell {
+                bank_fail_fraction,
+                dram_fault_rate,
+                error: Some(error),
+                ..ChaosGridCell::default()
+            },
+        },
+        sink,
     )?;
     Ok(ChaosGrid {
-        network: net.name().to_string(),
-        seed,
+        network: net.net().name().to_string(),
+        seed: axes.seed,
         fractions: fractions.to_vec(),
         rates: rates.to_vec(),
         cells,
@@ -544,7 +422,7 @@ pub const DEFAULT_GRID_SITE_RATES: [f64; 2] = [0.0, 0.3];
 
 /// One cell of the 3-D degradation grid: one checked run at a
 /// (bank-failure fraction, DRAM fault rate, site-strike rate) triple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChaosGrid3Cell {
     /// Requested fraction of pool banks to fail.
     pub bank_fail_fraction: f64,
@@ -639,155 +517,71 @@ impl ChaosGrid3 {
 }
 
 /// Sweeps the full cross product of bank-failure fractions × DRAM fault
-/// rates × site-strike rates on one network, one checked Shortcut Mining
-/// run per cell as a single flattened parallel batch.
+/// rates × site-strike rates on one network (`axes.fractions` ×
+/// `axes.rates` × `axes.site_rates`, defaults [`DEFAULT_GRID_FRACTIONS`] ×
+/// [`DEFAULT_GRID_RATES`] × [`DEFAULT_GRID_SITE_RATES`]), one checked
+/// Shortcut Mining run per cell as a single flattened parallel batch.
 ///
 /// Each cell's site strikes hit the weight SRAM and PE array under parity
-/// protection (detected, value-safe); `retry_budget` overrides the
-/// [`FaultPlan`] default when `Some`. All cells share `seed`, so a cell
-/// depends only on its own triple and the volume is deterministic.
-pub fn chaos_grid3(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    rates: &[f64],
-    site_rates: &[f64],
-    retry_budget: Option<u32>,
-) -> ChaosGrid3 {
-    chaos_grid3_cached(
-        net,
-        config,
-        seed,
-        fractions,
-        rates,
-        site_rates,
-        retry_budget,
-        None,
-        |_, _, _| {},
-    )
-}
-
-/// [`chaos_grid3`] with per-cell result-cache consultation: cells already
-/// in `cache` are read back and only the missing cells are dispatched
-/// (delta simulation). `on_cell` streams every cell in flattened order as
-/// it resolves; the volume is byte-identical to the uncached sweep at any
-/// thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn chaos_grid3_cached(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    rates: &[f64],
-    site_rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ChaosGrid3Cell),
-) -> ChaosGrid3 {
-    chaos_grid3_cancellable(
-        &KeyedNet::new(net.clone()),
-        config,
-        seed,
-        fractions,
-        rates,
-        site_rates,
-        retry_budget,
-        cache,
-        on_cell,
-        None,
-    )
-    .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`chaos_grid3_cached`] with a cooperative cancel check (deadlines, dead
-/// clients): consulted before dispatch and before each computed cell.
-///
-/// The network comes as a [`KeyedNet`], so its fingerprint — computed
-/// once by the caller — heads every cell key without re-serializing it.
+/// protection (detected, value-safe); `axes.retry_budget` overrides the
+/// [`FaultPlan`] default. All cells share `axes.seed`, so a cell depends
+/// only on its own triple and the volume is deterministic.
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-#[allow(clippy::too_many_arguments)]
-pub fn chaos_grid3_cancellable(
-    keyed: &KeyedNet,
+/// Returns [`Cancelled`] when `ctx`'s cancel check fired first.
+pub fn chaos_grid3(
+    net: &KeyedNet,
     config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    rates: &[f64],
-    site_rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ChaosGrid3Cell),
-    cancel: Option<CancelCheck<'_>>,
+    axes: &SweepAxes,
+    ctx: &RunCtx<'_>,
+    sink: &mut impl CellSink,
 ) -> Result<ChaosGrid3, Cancelled> {
-    let net = keyed.net();
-    let exp = sm_core::Experiment::new(config);
-    let triples: Vec<(f64, f64, f64)> = fractions
-        .iter()
-        .flat_map(|&f| {
-            rates
-                .iter()
-                .flat_map(move |&r| site_rates.iter().map(move |&s| (f, r, s)))
-        })
-        .collect();
-    let plan_for = |f: f64, r: f64, s: f64| {
-        let mut plan = FaultPlan::new(seed)
-            .with_bank_failures(f)
-            .with_dram_faults(r)
-            .with_weight_faults(s, Protection::Parity)
-            .with_pe_faults(s, Protection::Parity);
-        if let Some(budget) = retry_budget {
-            let stall = plan.retry_stall_cycles;
-            plan = plan.with_retry_budget(budget, stall);
-        }
-        plan
-    };
-    let keys = chaos_keys(
+    let fractions = axes.fractions.as_deref().unwrap_or(&DEFAULT_GRID_FRACTIONS);
+    let rates = axes.rates.as_deref().unwrap_or(&DEFAULT_GRID_RATES);
+    let site_rates = axes
+        .site_rates
+        .as_deref()
+        .unwrap_or(&DEFAULT_GRID_SITE_RATES);
+    let cells = run_plans(
         "chaos-grid3-cell",
-        keyed,
-        &config,
-        triples.iter().map(|&(f, r, s)| plan_for(f, r, s)),
-    );
-    let cells = cached_cells_cancellable(
-        cache,
-        &triples,
-        &keys,
-        |_| net.total_macs(),
-        |&(f, r, s)| {
-            let options = SimOptions::with_faults(plan_for(f, r, s));
-            match exp.run_checked(net, Policy::shortcut_mining(), &options) {
-                Ok(run) => ChaosGrid3Cell {
-                    bank_fail_fraction: f,
-                    dram_fault_rate: r,
-                    site_fault_rate: s,
-                    completed: true,
-                    error: None,
-                    fm_bytes: run.stats.fm_traffic_bytes(),
-                    total_bytes: run.stats.total_traffic_bytes(),
-                    retry_bytes: run.stats.ledger.class_bytes(TrafficClass::Retry),
-                    total_cycles: run.stats.total_cycles,
-                },
-                Err(e) => ChaosGrid3Cell {
-                    bank_fail_fraction: f,
-                    dram_fault_rate: r,
-                    site_fault_rate: s,
-                    completed: false,
-                    error: Some(e.to_string()),
-                    fm_bytes: 0,
-                    total_bytes: 0,
-                    retry_bytes: 0,
-                    total_cycles: 0,
-                },
-            }
+        net,
+        config,
+        ctx,
+        &cross(fractions, &cross(rates, site_rates)),
+        |&(f, (r, s))| {
+            let plan = FaultPlan::new(axes.seed)
+                .with_bank_failures(f)
+                .with_dram_faults(r)
+                .with_weight_faults(s, Protection::Parity)
+                .with_pe_faults(s, Protection::Parity);
+            with_budget(plan, axes.retry_budget)
         },
-        on_cell,
-        cancel,
+        |&(bank_fail_fraction, (dram_fault_rate, site_fault_rate)), run| match run {
+            Ok(s) => ChaosGrid3Cell {
+                bank_fail_fraction,
+                dram_fault_rate,
+                site_fault_rate,
+                completed: true,
+                error: None,
+                fm_bytes: s.fm_traffic_bytes(),
+                total_bytes: s.total_traffic_bytes(),
+                retry_bytes: s.ledger.class_bytes(TrafficClass::Retry),
+                total_cycles: s.total_cycles,
+            },
+            Err(error) => ChaosGrid3Cell {
+                bank_fail_fraction,
+                dram_fault_rate,
+                site_fault_rate,
+                error: Some(error),
+                ..ChaosGrid3Cell::default()
+            },
+        },
+        sink,
     )?;
     Ok(ChaosGrid3 {
-        network: net.name().to_string(),
-        seed,
+        network: net.net().name().to_string(),
+        seed: axes.seed,
         fractions: fractions.to_vec(),
         rates: rates.to_vec(),
         site_rates: site_rates.to_vec(),
@@ -815,7 +609,7 @@ pub const CONTROL_PATH_POLICIES: [RecoveryPolicy; 3] = [
 
 /// One point of the control-path degradation study: one checked run at a
 /// (recovery policy, BCU strike rate) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ControlPathPoint {
     /// Recovery policy the run's fault plan used.
     pub policy: RecoveryPolicy,
@@ -915,157 +709,70 @@ impl ControlPathStudy {
     }
 }
 
-/// Sweeps the recovery-policy ladder against an escalating BCU strike rate
-/// on one network, one checked Shortcut Mining run per (policy, rate) pair
-/// as a single flattened parallel batch.
+/// Sweeps the [`CONTROL_PATH_POLICIES`] ladder against an escalating BCU
+/// strike rate (`axes.rates`, default [`DEFAULT_CONTROL_PATH_RATES`]) on
+/// one network, one checked Shortcut Mining run per (policy, rate) pair as
+/// a single flattened parallel batch.
 ///
 /// Only the mapping table is struck (no weight or PE faults), so every DUE
 /// has a live on-chip producer and the `RecomputeLayer` policy can exploit
 /// residency: its recovery traffic is bounded by what the layer streamed
 /// from DRAM anyway, while `RefetchTile` conservatively re-DMAs every
-/// operand. `retry_budget` overrides the [`FaultPlan`] default when `Some`.
-pub fn control_path_sweep(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    policies: &[RecoveryPolicy],
-    rates: &[f64],
-    retry_budget: Option<u32>,
-) -> ControlPathStudy {
-    control_path_sweep_cached(
-        net,
-        config,
-        seed,
-        policies,
-        rates,
-        retry_budget,
-        None,
-        |_, _, _| {},
-    )
-}
-
-/// [`control_path_sweep`] with per-point result-cache consultation: points
-/// already in `cache` are read back and only the missing points are
-/// dispatched (delta simulation). `on_cell` streams every point in
-/// row-major order as it resolves; the study is byte-identical to the
-/// uncached sweep at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn control_path_sweep_cached(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    policies: &[RecoveryPolicy],
-    rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ControlPathPoint),
-) -> ControlPathStudy {
-    control_path_sweep_cancellable(
-        &KeyedNet::new(net.clone()),
-        config,
-        seed,
-        policies,
-        rates,
-        retry_budget,
-        cache,
-        on_cell,
-        None,
-    )
-    .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`control_path_sweep_cached`] with a cooperative cancel check
-/// (deadlines, dead clients): consulted before dispatch and before each
-/// computed point.
-///
-/// The network comes as a [`KeyedNet`], so its fingerprint — computed
-/// once by the caller — heads every cell key without re-serializing it.
+/// operand. `axes.retry_budget` overrides the [`FaultPlan`] default.
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-#[allow(clippy::too_many_arguments)]
-pub fn control_path_sweep_cancellable(
-    keyed: &KeyedNet,
+/// Returns [`Cancelled`] when `ctx`'s cancel check fired first.
+pub fn control_path_sweep(
+    net: &KeyedNet,
     config: AccelConfig,
-    seed: u64,
-    policies: &[RecoveryPolicy],
-    rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ControlPathPoint),
-    cancel: Option<CancelCheck<'_>>,
+    axes: &SweepAxes,
+    ctx: &RunCtx<'_>,
+    sink: &mut impl CellSink,
 ) -> Result<ControlPathStudy, Cancelled> {
-    let net = keyed.net();
-    let exp = sm_core::Experiment::new(config);
-    let pairs: Vec<(RecoveryPolicy, f64)> = policies
-        .iter()
-        .flat_map(|&p| rates.iter().map(move |&r| (p, r)))
-        .collect();
-    let plan_for = |policy: RecoveryPolicy, rate: f64| {
-        let mut plan = FaultPlan::new(seed)
-            .with_bcu_faults(rate, Protection::Ecc)
-            .with_multi_bit(CONTROL_PATH_DOUBLE_RATE, CONTROL_PATH_TRIPLE_RATE)
-            .with_recovery(policy);
-        if let Some(budget) = retry_budget {
-            let stall = plan.retry_stall_cycles;
-            plan = plan.with_retry_budget(budget, stall);
-        }
-        plan
-    };
-    let keys = chaos_keys(
+    let rates = axes.rates.as_deref().unwrap_or(&DEFAULT_CONTROL_PATH_RATES);
+    let points = run_plans(
         "control-path-point",
-        keyed,
-        &config,
-        pairs.iter().map(|&(p, r)| plan_for(p, r)),
-    );
-    let points = cached_cells_cancellable(
-        cache,
-        &pairs,
-        &keys,
-        |_| net.total_macs(),
+        net,
+        config,
+        ctx,
+        &cross(&CONTROL_PATH_POLICIES, rates),
         |&(policy, rate)| {
-            let options = SimOptions::with_faults(plan_for(policy, rate));
-            match exp.run_checked(net, Policy::shortcut_mining(), &options) {
-                Ok(run) => ControlPathPoint {
-                    policy,
-                    bcu_fault_rate: rate,
-                    completed: true,
-                    error: None,
-                    bcu_faults: run.stats.faults.bcu_faults,
-                    due_events: run.stats.faults.due_events,
-                    recovered_refetch: run.stats.faults.recovered_refetch,
-                    recovered_recompute: run.stats.faults.recovered_recompute,
-                    silent_faults: run.stats.faults.silent_faults,
-                    retry_bytes: run.stats.ledger.class_bytes(TrafficClass::Retry),
-                    total_bytes: run.stats.total_traffic_bytes(),
-                    total_cycles: run.stats.total_cycles,
-                    throughput_gops: run.stats.throughput_gops(),
-                },
-                Err(e) => ControlPathPoint {
-                    policy,
-                    bcu_fault_rate: rate,
-                    completed: false,
-                    error: Some(e.to_string()),
-                    bcu_faults: 0,
-                    due_events: 0,
-                    recovered_refetch: 0,
-                    recovered_recompute: 0,
-                    silent_faults: 0,
-                    retry_bytes: 0,
-                    total_bytes: 0,
-                    total_cycles: 0,
-                    throughput_gops: 0.0,
-                },
-            }
+            let plan = FaultPlan::new(axes.seed)
+                .with_bcu_faults(rate, Protection::Ecc)
+                .with_multi_bit(CONTROL_PATH_DOUBLE_RATE, CONTROL_PATH_TRIPLE_RATE)
+                .with_recovery(policy);
+            with_budget(plan, axes.retry_budget)
         },
-        on_cell,
-        cancel,
+        |&(policy, bcu_fault_rate), run| match run {
+            Ok(s) => ControlPathPoint {
+                policy,
+                bcu_fault_rate,
+                completed: true,
+                error: None,
+                bcu_faults: s.faults.bcu_faults,
+                due_events: s.faults.due_events,
+                recovered_refetch: s.faults.recovered_refetch,
+                recovered_recompute: s.faults.recovered_recompute,
+                silent_faults: s.faults.silent_faults,
+                retry_bytes: s.ledger.class_bytes(TrafficClass::Retry),
+                total_bytes: s.total_traffic_bytes(),
+                total_cycles: s.total_cycles,
+                throughput_gops: s.throughput_gops(),
+            },
+            Err(error) => ControlPathPoint {
+                policy,
+                bcu_fault_rate,
+                error: Some(error),
+                ..ControlPathPoint::default()
+            },
+        },
+        sink,
     )?;
     Ok(ControlPathStudy {
-        network: net.name().to_string(),
-        seed,
-        policies: policies.to_vec(),
+        network: net.net().name().to_string(),
+        seed: axes.seed,
+        policies: CONTROL_PATH_POLICIES.to_vec(),
         rates: rates.to_vec(),
         points,
     })
@@ -1093,7 +800,7 @@ pub const SCHEDULER_POLICIES: [RecoveryPolicy; 4] = [
 
 /// One point of the scheduler-state degradation study: one checked run at
 /// a (recovery policy, scheduler strike rate) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerPoint {
     /// Recovery policy the run's fault plan used.
     pub policy: RecoveryPolicy,
@@ -1203,8 +910,9 @@ impl SchedulerStudy {
     }
 }
 
-/// Sweeps the four-tier recovery ladder against an escalating
-/// scheduler-state strike rate on one network, one checked Shortcut Mining
+/// Sweeps the four-tier [`SCHEDULER_POLICIES`] ladder against an
+/// escalating scheduler-state strike rate (`axes.rates`, default
+/// [`DEFAULT_SCHEDULER_RATES`]) on one network, one checked Shortcut Mining
 /// run per (policy, rate) pair as a single flattened parallel batch.
 ///
 /// Only scheduler metadata is struck (no bank, DRAM, weight, PE, or BCU
@@ -1212,152 +920,63 @@ impl SchedulerStudy {
 /// corrupted retention record: `RefetchTile` conservatively re-DMAs every
 /// operand, `RecomputeLayer` replays from still-resident inputs, and
 /// `Checkpoint` restores the last consistent metadata snapshot and pays
-/// only for the operands it could not keep resident. `retry_budget`
-/// overrides the [`FaultPlan`] default when `Some`.
-pub fn scheduler_sweep(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    policies: &[RecoveryPolicy],
-    rates: &[f64],
-    retry_budget: Option<u32>,
-) -> SchedulerStudy {
-    scheduler_sweep_cached(
-        net,
-        config,
-        seed,
-        policies,
-        rates,
-        retry_budget,
-        None,
-        |_, _, _| {},
-    )
-}
-
-/// [`scheduler_sweep`] with per-point result-cache consultation: points
-/// already in `cache` are read back and only the missing points are
-/// dispatched (delta simulation). `on_cell` streams every point in
-/// row-major order as it resolves; the study is byte-identical to the
-/// uncached sweep at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn scheduler_sweep_cached(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    policies: &[RecoveryPolicy],
-    rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &SchedulerPoint),
-) -> SchedulerStudy {
-    scheduler_sweep_cancellable(
-        &KeyedNet::new(net.clone()),
-        config,
-        seed,
-        policies,
-        rates,
-        retry_budget,
-        cache,
-        on_cell,
-        None,
-    )
-    .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`scheduler_sweep_cached`] with a cooperative cancel check (deadlines,
-/// dead clients): consulted before dispatch and before each computed
-/// point.
-///
-/// The network comes as a [`KeyedNet`], so its fingerprint — computed
-/// once by the caller — heads every cell key without re-serializing it.
+/// only for the operands it could not keep resident. `axes.retry_budget`
+/// overrides the [`FaultPlan`] default.
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-#[allow(clippy::too_many_arguments)]
-pub fn scheduler_sweep_cancellable(
-    keyed: &KeyedNet,
+/// Returns [`Cancelled`] when `ctx`'s cancel check fired first.
+pub fn scheduler_sweep(
+    net: &KeyedNet,
     config: AccelConfig,
-    seed: u64,
-    policies: &[RecoveryPolicy],
-    rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &SchedulerPoint),
-    cancel: Option<CancelCheck<'_>>,
+    axes: &SweepAxes,
+    ctx: &RunCtx<'_>,
+    sink: &mut impl CellSink,
 ) -> Result<SchedulerStudy, Cancelled> {
-    let net = keyed.net();
-    let exp = sm_core::Experiment::new(config);
-    let pairs: Vec<(RecoveryPolicy, f64)> = policies
-        .iter()
-        .flat_map(|&p| rates.iter().map(move |&r| (p, r)))
-        .collect();
-    let plan_for = |policy: RecoveryPolicy, rate: f64| {
-        let mut plan = FaultPlan::new(seed)
-            .with_scheduler_faults(rate, Protection::Ecc)
-            .with_multi_bit(SCHEDULER_DOUBLE_RATE, SCHEDULER_TRIPLE_RATE)
-            .with_recovery(policy);
-        if let Some(budget) = retry_budget {
-            let stall = plan.retry_stall_cycles;
-            plan = plan.with_retry_budget(budget, stall);
-        }
-        plan
-    };
-    let keys = chaos_keys(
+    let rates = axes.rates.as_deref().unwrap_or(&DEFAULT_SCHEDULER_RATES);
+    let points = run_plans(
         "scheduler-point",
-        keyed,
-        &config,
-        pairs.iter().map(|&(p, r)| plan_for(p, r)),
-    );
-    let points = cached_cells_cancellable(
-        cache,
-        &pairs,
-        &keys,
-        |_| net.total_macs(),
+        net,
+        config,
+        ctx,
+        &cross(&SCHEDULER_POLICIES, rates),
         |&(policy, rate)| {
-            let options = SimOptions::with_faults(plan_for(policy, rate));
-            match exp.run_checked(net, Policy::shortcut_mining(), &options) {
-                Ok(run) => SchedulerPoint {
-                    policy,
-                    scheduler_fault_rate: rate,
-                    completed: true,
-                    error: None,
-                    scheduler_faults: run.stats.faults.scheduler_faults,
-                    due_events: run.stats.faults.due_events,
-                    recovered_refetch: run.stats.faults.recovered_refetch,
-                    recovered_recompute: run.stats.faults.recovered_recompute,
-                    recovered_rollback: run.stats.faults.recovered_rollback,
-                    silent_faults: run.stats.faults.silent_faults,
-                    retry_bytes: run.stats.ledger.class_bytes(TrafficClass::Retry),
-                    total_bytes: run.stats.total_traffic_bytes(),
-                    total_cycles: run.stats.total_cycles,
-                    throughput_gops: run.stats.throughput_gops(),
-                },
-                Err(e) => SchedulerPoint {
-                    policy,
-                    scheduler_fault_rate: rate,
-                    completed: false,
-                    error: Some(e.to_string()),
-                    scheduler_faults: 0,
-                    due_events: 0,
-                    recovered_refetch: 0,
-                    recovered_recompute: 0,
-                    recovered_rollback: 0,
-                    silent_faults: 0,
-                    retry_bytes: 0,
-                    total_bytes: 0,
-                    total_cycles: 0,
-                    throughput_gops: 0.0,
-                },
-            }
+            let plan = FaultPlan::new(axes.seed)
+                .with_scheduler_faults(rate, Protection::Ecc)
+                .with_multi_bit(SCHEDULER_DOUBLE_RATE, SCHEDULER_TRIPLE_RATE)
+                .with_recovery(policy);
+            with_budget(plan, axes.retry_budget)
         },
-        on_cell,
-        cancel,
+        |&(policy, scheduler_fault_rate), run| match run {
+            Ok(s) => SchedulerPoint {
+                policy,
+                scheduler_fault_rate,
+                completed: true,
+                error: None,
+                scheduler_faults: s.faults.scheduler_faults,
+                due_events: s.faults.due_events,
+                recovered_refetch: s.faults.recovered_refetch,
+                recovered_recompute: s.faults.recovered_recompute,
+                recovered_rollback: s.faults.recovered_rollback,
+                silent_faults: s.faults.silent_faults,
+                retry_bytes: s.ledger.class_bytes(TrafficClass::Retry),
+                total_bytes: s.total_traffic_bytes(),
+                total_cycles: s.total_cycles,
+                throughput_gops: s.throughput_gops(),
+            },
+            Err(error) => SchedulerPoint {
+                policy,
+                scheduler_fault_rate,
+                error: Some(error),
+                ..SchedulerPoint::default()
+            },
+        },
+        sink,
     )?;
     Ok(SchedulerStudy {
-        network: net.name().to_string(),
-        seed,
-        policies: policies.to_vec(),
+        network: net.net().name().to_string(),
+        seed: axes.seed,
+        policies: SCHEDULER_POLICIES.to_vec(),
         rates: rates.to_vec(),
         points,
     })
@@ -1367,7 +986,7 @@ pub fn scheduler_sweep_cancellable(
 pub const DEFAULT_RETRY_BUDGETS: [u32; 5] = [0, 1, 2, 4, 8];
 
 /// One point of the retry-budget sensitivity study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RetryBudgetPoint {
     /// Max re-attempts per failed DRAM transfer.
     pub max_retries: u32,
@@ -1437,9 +1056,63 @@ impl RetryBudgetStudy {
     }
 }
 
-/// Sweeps the DRAM retry budget on one network at a fixed fault rate
-/// (ROADMAP: retry-budget sensitivity). Each budget is an independent
-/// checked run, fanned out over [`sm_core::parallel`] in sweep order.
+/// Sweeps the DRAM retry budget (`axes.budgets`, default
+/// [`DEFAULT_RETRY_BUDGETS`]) on one network at the fixed fault rate
+/// `axes.dram_rate` (ROADMAP: retry-budget sensitivity). Each budget is an
+/// independent checked run, fanned out over [`sm_core::parallel`] in sweep
+/// order.
+///
+/// # Errors
+///
+/// Returns [`Cancelled`] when `ctx`'s cancel check fired first.
+pub fn retry_budget_study(
+    net: &KeyedNet,
+    config: AccelConfig,
+    axes: &SweepAxes,
+    ctx: &RunCtx<'_>,
+    sink: &mut impl CellSink,
+) -> Result<RetryBudgetStudy, Cancelled> {
+    let budgets = axes.budgets.as_deref().unwrap_or(&DEFAULT_RETRY_BUDGETS);
+    let points = run_plans(
+        "retry-budget-point",
+        net,
+        config,
+        ctx,
+        budgets,
+        |&budget| {
+            let plan = FaultPlan::new(axes.seed).with_dram_faults(axes.dram_rate);
+            with_budget(plan, Some(budget))
+        },
+        |&max_retries, run| match run {
+            Ok(s) => RetryBudgetPoint {
+                max_retries,
+                completed: true,
+                error: None,
+                dram_retries: s.faults.dram_retries,
+                retry_bytes: s.ledger.class_bytes(TrafficClass::Retry),
+                retry_stall_cycles: s.faults.retry_stall_cycles,
+                total_cycles: s.total_cycles,
+                throughput_gops: s.throughput_gops(),
+            },
+            Err(error) => RetryBudgetPoint {
+                max_retries,
+                error: Some(error),
+                ..RetryBudgetPoint::default()
+            },
+        },
+        sink,
+    )?;
+    Ok(RetryBudgetStudy {
+        network: net.net().name().to_string(),
+        seed: axes.seed,
+        dram_fault_rate: axes.dram_rate,
+        points,
+    })
+}
+
+/// [`retry_budget_study`] with no cache, cancel check or cell stream, at
+/// seed `seed` and DRAM fault rate `dram_fault_rate` — the form
+/// `ext_experiments` and the benchmark harness call.
 pub fn retry_budget_sweep(
     net: &Network,
     config: AccelConfig,
@@ -1447,117 +1120,15 @@ pub fn retry_budget_sweep(
     dram_fault_rate: f64,
     budgets: &[u32],
 ) -> RetryBudgetStudy {
-    retry_budget_sweep_cached(
-        net,
-        config,
+    let axes = SweepAxes {
         seed,
-        dram_fault_rate,
-        budgets,
-        None,
-        |_, _, _| {},
-    )
-}
-
-/// [`retry_budget_sweep`] with per-point result-cache consultation: points
-/// already in `cache` are read back and only the missing points are
-/// dispatched (delta simulation). `on_cell` streams every point in sweep
-/// order as it resolves; the study is byte-identical to the uncached sweep
-/// at any thread count.
-pub fn retry_budget_sweep_cached(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    dram_fault_rate: f64,
-    budgets: &[u32],
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &RetryBudgetPoint),
-) -> RetryBudgetStudy {
-    retry_budget_sweep_cancellable(
-        &KeyedNet::new(net.clone()),
-        config,
-        seed,
-        dram_fault_rate,
-        budgets,
-        cache,
-        on_cell,
-        None,
-    )
-    .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`retry_budget_sweep_cached`] with a cooperative cancel check
-/// (deadlines, dead clients): consulted before dispatch and before each
-/// computed point.
-///
-/// The network comes as a [`KeyedNet`], so its fingerprint — computed
-/// once by the caller — heads every cell key without re-serializing it.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-#[allow(clippy::too_many_arguments)]
-pub fn retry_budget_sweep_cancellable(
-    keyed: &KeyedNet,
-    config: AccelConfig,
-    seed: u64,
-    dram_fault_rate: f64,
-    budgets: &[u32],
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &RetryBudgetPoint),
-    cancel: Option<CancelCheck<'_>>,
-) -> Result<RetryBudgetStudy, Cancelled> {
-    let net = keyed.net();
-    let exp = sm_core::Experiment::new(config);
-    let plan_for = |budget: u32| {
-        let base = FaultPlan::new(seed).with_dram_faults(dram_fault_rate);
-        let stall = base.retry_stall_cycles;
-        base.with_retry_budget(budget, stall)
+        dram_rate: dram_fault_rate,
+        budgets: Some(budgets.to_vec()),
+        ..SweepAxes::default()
     };
-    let keys = chaos_keys(
-        "retry-budget-point",
-        keyed,
-        &config,
-        budgets.iter().map(|&b| plan_for(b)),
-    );
-    let points = cached_cells_cancellable(
-        cache,
-        budgets,
-        &keys,
-        |_| net.total_macs(),
-        |&budget| {
-            let options = SimOptions::with_faults(plan_for(budget));
-            match exp.run_checked(net, Policy::shortcut_mining(), &options) {
-                Ok(run) => RetryBudgetPoint {
-                    max_retries: budget,
-                    completed: true,
-                    error: None,
-                    dram_retries: run.stats.faults.dram_retries,
-                    retry_bytes: run.stats.ledger.class_bytes(TrafficClass::Retry),
-                    retry_stall_cycles: run.stats.faults.retry_stall_cycles,
-                    total_cycles: run.stats.total_cycles,
-                    throughput_gops: run.stats.throughput_gops(),
-                },
-                Err(e) => RetryBudgetPoint {
-                    max_retries: budget,
-                    completed: false,
-                    error: Some(e.to_string()),
-                    dram_retries: 0,
-                    retry_bytes: 0,
-                    retry_stall_cycles: 0,
-                    total_cycles: 0,
-                    throughput_gops: 0.0,
-                },
-            }
-        },
-        on_cell,
-        cancel,
-    )?;
-    Ok(RetryBudgetStudy {
-        network: net.name().to_string(),
-        seed,
-        dram_fault_rate,
-        points,
-    })
+    let net = KeyedNet::new(net.clone());
+    retry_budget_study(&net, config, &axes, &RunCtx::default(), &mut ())
+        .expect("a sweep without a cancel check cannot be cancelled")
 }
 
 #[cfg(test)]
@@ -1565,10 +1136,27 @@ mod tests {
     use super::*;
     use sm_model::zoo;
 
+    /// Uncached, uncancellable context.
+    const PLAIN: RunCtx<'static> = RunCtx {
+        cache: None,
+        cancel: None,
+    };
+
+    fn keyed(net: Network) -> KeyedNet {
+        KeyedNet::new(net)
+    }
+
     #[test]
     fn curve_degrades_monotonically_in_traffic() {
-        let net = zoo::resnet_tiny(2, 1);
-        let curve = chaos_degradation(&net, AccelConfig::default(), 9, &DEFAULT_FRACTIONS, 0.0);
+        let net = keyed(zoo::resnet_tiny(2, 1));
+        let axes = SweepAxes {
+            seed: 9,
+            dram_rate: 0.0,
+            fractions: Some(DEFAULT_FRACTIONS.to_vec()),
+            ..SweepAxes::default()
+        };
+        let curve =
+            chaos_degradation(&net, AccelConfig::default(), &axes, &PLAIN, &mut ()).unwrap();
         assert_eq!(curve.points.len(), DEFAULT_FRACTIONS.len());
         let base = &curve.points[0];
         assert!(base.completed && base.banks_failed == 0 && base.retry_bytes == 0);
@@ -1588,8 +1176,15 @@ mod tests {
 
     #[test]
     fn dram_faults_show_up_as_retry_traffic() {
-        let net = zoo::toy_residual(1);
-        let curve = chaos_degradation(&net, AccelConfig::default(), 3, &[0.0, 0.0], 0.4);
+        let net = keyed(zoo::toy_residual(1));
+        let axes = SweepAxes {
+            seed: 3,
+            dram_rate: 0.4,
+            fractions: Some(vec![0.0, 0.0]),
+            ..SweepAxes::default()
+        };
+        let curve =
+            chaos_degradation(&net, AccelConfig::default(), &axes, &PLAIN, &mut ()).unwrap();
         // Same plan seed at both points: identical outcomes.
         assert_eq!(curve.points[0], curve.points[1]);
         let p = &curve.points[0];
@@ -1613,24 +1208,31 @@ mod tests {
 
     #[test]
     fn explicit_budget_flows_into_the_curve() {
-        let net = zoo::toy_residual(1);
+        let net = keyed(zoo::toy_residual(1));
+        let axes = SweepAxes {
+            seed: 3,
+            dram_rate: 0.4,
+            retry_budget: Some(9),
+            fractions: Some(vec![0.0]),
+            ..SweepAxes::default()
+        };
         let curve =
-            chaos_degradation_with_budget(&net, AccelConfig::default(), 3, &[0.0], 0.4, Some(9));
+            chaos_degradation(&net, AccelConfig::default(), &axes, &PLAIN, &mut ()).unwrap();
         assert_eq!(curve.max_retries, 9);
         assert!(curve.points[0].completed, "{:?}", curve.points[0].error);
     }
 
     #[test]
     fn grid_covers_the_cross_product_and_anchors_fault_free() {
-        let net = zoo::toy_residual(1);
-        let grid = chaos_grid(
-            &net,
-            AccelConfig::default(),
-            5,
-            &[0.0, 0.3],
-            &[0.0, 0.4],
-            Some(16),
-        );
+        let net = keyed(zoo::toy_residual(1));
+        let axes = SweepAxes {
+            seed: 5,
+            retry_budget: Some(16),
+            fractions: Some(vec![0.0, 0.3]),
+            rates: Some(vec![0.0, 0.4]),
+            ..SweepAxes::default()
+        };
+        let grid = chaos_grid(&net, AccelConfig::default(), &axes, &PLAIN, &mut ()).unwrap();
         assert_eq!(grid.cells.len(), 4);
         let anchor = grid.cell(0, 0);
         assert!(anchor.completed, "{:?}", anchor.error);
@@ -1651,38 +1253,32 @@ mod tests {
 
     #[test]
     fn grid_is_deterministic_for_a_fixed_seed() {
-        let net = zoo::toy_residual(1);
-        let a = chaos_grid(
-            &net,
-            AccelConfig::default(),
-            7,
-            &DEFAULT_GRID_FRACTIONS,
-            &DEFAULT_GRID_RATES,
-            Some(8),
-        );
-        let b = chaos_grid(
-            &net,
-            AccelConfig::default(),
-            7,
-            &DEFAULT_GRID_FRACTIONS,
-            &DEFAULT_GRID_RATES,
-            Some(8),
-        );
+        let net = keyed(zoo::toy_residual(1));
+        let axes = SweepAxes {
+            seed: 7,
+            retry_budget: Some(8),
+            fractions: Some(DEFAULT_GRID_FRACTIONS.to_vec()),
+            rates: Some(DEFAULT_GRID_RATES.to_vec()),
+            ..SweepAxes::default()
+        };
+        let grid = || chaos_grid(&net, AccelConfig::default(), &axes, &PLAIN, &mut ());
+        let (a, b) = (grid().unwrap(), grid().unwrap());
         assert_eq!(a, b);
     }
 
     #[test]
     fn grid3_covers_the_volume_and_site_strikes_surface_as_retry() {
-        let net = zoo::toy_residual(1);
-        let g = chaos_grid3(
-            &net,
-            AccelConfig::default(),
-            5,
-            &[0.0, 0.3],
-            &[0.0],
-            &[0.0, 1.0],
-            Some(16),
-        );
+        let net = keyed(zoo::toy_residual(1));
+        let axes = SweepAxes {
+            seed: 5,
+            retry_budget: Some(16),
+            fractions: Some(vec![0.0, 0.3]),
+            rates: Some(vec![0.0]),
+            site_rates: Some(vec![0.0, 1.0]),
+            ..SweepAxes::default()
+        };
+        let grid3 = || chaos_grid3(&net, AccelConfig::default(), &axes, &PLAIN, &mut ());
+        let g = grid3().unwrap();
         assert_eq!(g.cells.len(), 4);
         let anchor = g.cell(0, 0, 0);
         assert!(anchor.completed, "{:?}", anchor.error);
@@ -1697,29 +1293,20 @@ mod tests {
         assert_eq!(tables.len(), 2);
         assert!(tables[1].render().contains("site rate 1"));
         // Determinism for a fixed seed.
-        let again = chaos_grid3(
-            &net,
-            AccelConfig::default(),
-            5,
-            &[0.0, 0.3],
-            &[0.0],
-            &[0.0, 1.0],
-            Some(16),
-        );
+        let again = grid3().unwrap();
         assert_eq!(g, again);
     }
 
     #[test]
     fn control_path_policies_diverge_under_bcu_strikes() {
-        let net = zoo::resnet_tiny(2, 1);
-        let study = control_path_sweep(
-            &net,
-            AccelConfig::default(),
-            11,
-            &CONTROL_PATH_POLICIES,
-            &[0.0, 1.0],
-            None,
-        );
+        let net = keyed(zoo::resnet_tiny(2, 1));
+        let axes = SweepAxes {
+            seed: 11,
+            rates: Some(vec![0.0, 1.0]),
+            ..SweepAxes::default()
+        };
+        let study =
+            control_path_sweep(&net, AccelConfig::default(), &axes, &PLAIN, &mut ()).unwrap();
         assert_eq!(study.points.len(), 6);
         // Fault-free anchor completes under every policy with zero strikes.
         for pi in 0..CONTROL_PATH_POLICIES.len() {
@@ -1764,15 +1351,13 @@ mod tests {
 
     #[test]
     fn scheduler_tiers_diverge_and_checkpoint_beats_recompute() {
-        let net = zoo::resnet_tiny(2, 1);
-        let study = scheduler_sweep(
-            &net,
-            AccelConfig::default(),
-            13,
-            &SCHEDULER_POLICIES,
-            &[0.0, 1.0],
-            None,
-        );
+        let net = keyed(zoo::resnet_tiny(2, 1));
+        let axes = SweepAxes {
+            seed: 13,
+            rates: Some(vec![0.0, 1.0]),
+            ..SweepAxes::default()
+        };
+        let study = scheduler_sweep(&net, AccelConfig::default(), &axes, &PLAIN, &mut ()).unwrap();
         assert_eq!(study.points.len(), 8);
         // Fault-free anchor completes under every tier with zero strikes
         // and zero retry traffic — the checkpoint plumbing is free.
@@ -1832,30 +1417,29 @@ mod tests {
 
     #[test]
     fn scheduler_sweep_is_deterministic_for_a_fixed_seed() {
-        let net = zoo::toy_residual(1);
-        let a = scheduler_sweep(
-            &net,
-            AccelConfig::default(),
-            7,
-            &SCHEDULER_POLICIES,
-            &DEFAULT_SCHEDULER_RATES,
-            Some(8),
-        );
-        let b = scheduler_sweep(
-            &net,
-            AccelConfig::default(),
-            7,
-            &SCHEDULER_POLICIES,
-            &DEFAULT_SCHEDULER_RATES,
-            Some(8),
-        );
+        let net = keyed(zoo::toy_residual(1));
+        let axes = SweepAxes {
+            seed: 7,
+            retry_budget: Some(8),
+            rates: Some(DEFAULT_SCHEDULER_RATES.to_vec()),
+            ..SweepAxes::default()
+        };
+        let sweep = || scheduler_sweep(&net, AccelConfig::default(), &axes, &PLAIN, &mut ());
+        let (a, b) = (sweep().unwrap(), sweep().unwrap());
         assert_eq!(a, b);
     }
 
     #[test]
     fn table_renders_every_point() {
-        let net = zoo::toy_residual(1);
-        let curve = chaos_degradation(&net, AccelConfig::default(), 1, &[0.0, 0.5], 0.1);
+        let net = keyed(zoo::toy_residual(1));
+        let axes = SweepAxes {
+            seed: 1,
+            dram_rate: 0.1,
+            fractions: Some(vec![0.0, 0.5]),
+            ..SweepAxes::default()
+        };
+        let curve =
+            chaos_degradation(&net, AccelConfig::default(), &axes, &PLAIN, &mut ()).unwrap();
         let t = curve.table();
         assert_eq!(t.len(), 2);
         assert!(t.render().contains("chaos degradation"));

@@ -10,16 +10,15 @@
 use serde::{Deserialize, Serialize};
 
 use sm_accel::AccelConfig;
-use sm_core::parallel::par_map_weighted_auto;
+use sm_core::parallel::{par_map_weighted, threads, Cancelled};
 use sm_core::{Experiment, Policy};
 use sm_mem::TrafficClass;
 use sm_model::{zoo, Network};
 
-use sm_core::parallel::{CancelCheck, Cancelled};
-
-use crate::cas::{cached_cells_cancellable, CacheKey, CacheSession, KeyPrefix, KeyedNet};
+use crate::cas::{run_cells, CacheKey, KeyPrefix, KeyedNet, RunCtx};
 use crate::paper;
 use crate::report::{geomean, mb, pct, Table};
+use crate::sweep::CellSink;
 
 /// One cached baseline-vs-shortcut-mining comparison: the primitive values
 /// every headline and sensitivity row derives from, stored directly so a
@@ -70,9 +69,9 @@ impl CompareKeyInputs {
 }
 
 /// The comparison-cell keys of one network under each of `configs`, in
-/// order. Shared by Fig. 10/13/14/15 and the service, so e.g. a full report
-/// warms the cells once and every later figure (or service request) over
-/// the same (network, config) hits. The network head of the key is hashed
+/// order. Shared by the `compare` and `capacity-sweep` kinds, so a request
+/// of either kind hits every cell an earlier one computed at the same
+/// (network, config). The network head of the key is hashed
 /// once ([`KeyPrefix`]); each key equals `cell_key("compare-cell", ..)`
 /// over the full [`CompareKeyInputs`].
 pub(crate) fn compare_cell_keys(
@@ -104,57 +103,38 @@ pub(crate) fn run_compare_cell(exp: &Experiment, net: &Network) -> ComparisonCel
     }
 }
 
-/// Baseline-vs-mined comparison cells for a set of networks under one
-/// config, with per-cell result-cache consultation: cells already in
-/// `cache` are read back and only the missing networks are simulated.
-/// Cost-aware dispatch by MAC count; order preserved; `on_cell` streams
-/// each cell as it resolves in input order. Each network comes as a
-/// [`KeyedNet`], so its fingerprint is computed once by whoever built it.
-pub fn compare_cells(
-    config: AccelConfig,
-    nets: &[KeyedNet],
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ComparisonCell),
-) -> Vec<ComparisonCell> {
-    compare_cells_cancellable(config, nets, cache, on_cell, None)
-        .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`compare_cells`] with a cooperative cancel check (deadlines, dead
-/// clients): consulted before dispatch and before each computed cell.
+/// Baseline-vs-mined comparison cells of one network under each of
+/// `configs`, run through [`run_cells`]: `ctx` decides caching and
+/// cancellation, and each cell streams to `sink` in order. Backs the
+/// service's `compare` and `capacity-sweep` kinds.
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-pub fn compare_cells_cancellable(
-    config: AccelConfig,
-    nets: &[KeyedNet],
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ComparisonCell),
-    cancel: Option<CancelCheck<'_>>,
+/// Returns [`Cancelled`] when `ctx`'s cancel check fired first.
+pub fn compare_cells(
+    net: &KeyedNet,
+    configs: &[AccelConfig],
+    ctx: &RunCtx<'_>,
+    sink: &mut impl CellSink,
 ) -> Result<Vec<ComparisonCell>, Cancelled> {
-    let exp = Experiment::new(config);
-    let keys: Vec<CacheKey> = nets
-        .iter()
-        .flat_map(|n| compare_cell_keys(n, [config]))
-        .collect();
-    cached_cells_cancellable(
-        cache,
-        nets,
+    let keys = compare_cell_keys(net, configs.iter().copied());
+    run_cells(
+        ctx,
+        configs,
         &keys,
-        |n| n.net().total_macs(),
-        |n| run_compare_cell(&exp, n.net()),
-        on_cell,
-        cancel,
+        |_| net.net().total_macs(),
+        |&config| run_compare_cell(&Experiment::new(config), net.net()),
+        |i, cached, cell| sink.cell(i, cached, cell),
     )
 }
 
-/// The evaluated networks at `batch`, each fingerprinted once.
-pub(crate) fn keyed_networks(batch: usize) -> Vec<KeyedNet> {
-    zoo::evaluated_networks(batch)
-        .into_iter()
-        .map(KeyedNet::new)
-        .collect()
+/// Uncached comparison cells of `nets` under one config for the figures,
+/// fanned out largest-first by MAC count; order preserved.
+pub(crate) fn compare_networks(config: AccelConfig, nets: &[Network]) -> Vec<ComparisonCell> {
+    let exp = Experiment::new(config);
+    par_map_weighted(nets, threads(), Network::total_macs, |n| {
+        run_compare_cell(&exp, n)
+    })
 }
 
 /// Fig. 10 data: feature-map traffic, baseline vs Shortcut Mining.
@@ -168,17 +148,6 @@ pub struct TrafficResult {
 
 /// Regenerates the headline traffic figure on the evaluated networks.
 pub fn fig10_traffic_reduction(config: AccelConfig, batch: usize) -> TrafficResult {
-    fig10_traffic_reduction_cached(config, batch, None)
-}
-
-/// [`fig10_traffic_reduction`] with per-network result-cache consultation:
-/// only networks missing from `cache` are simulated (delta simulation);
-/// output is byte-identical to the uncached figure.
-pub fn fig10_traffic_reduction_cached(
-    config: AccelConfig,
-    batch: usize,
-    cache: Option<&CacheSession<'_>>,
-) -> TrafficResult {
     let mut table = Table::new(
         "Fig 10 - off-chip feature-map traffic (baseline vs shortcut mining)",
         &[
@@ -189,18 +158,18 @@ pub fn fig10_traffic_reduction_cached(
             "paper",
         ],
     );
-    let nets = keyed_networks(batch);
-    let rows: Vec<(String, u64, u64, f64)> = compare_cells(config, &nets, cache, |_, _, _| {})
-        .into_iter()
-        .map(|c| {
-            (
-                c.network,
-                c.base_fm_bytes,
-                c.mined_fm_bytes,
-                c.traffic_reduction,
-            )
-        })
-        .collect();
+    let rows: Vec<(String, u64, u64, f64)> =
+        compare_networks(config, &zoo::evaluated_networks(batch))
+            .into_iter()
+            .map(|c| {
+                (
+                    c.network,
+                    c.base_fm_bytes,
+                    c.mined_fm_bytes,
+                    c.traffic_reduction,
+                )
+            })
+            .collect();
     for (name, base, mined, reduction) in &rows {
         let paper_red = paper::TRAFFIC_REDUCTION
             .iter()
@@ -251,8 +220,9 @@ pub fn fig11_traffic_breakdown(config: AccelConfig, batch: usize) -> BreakdownRe
                 .map(move |p| (i, p))
         })
         .collect();
-    let runs = par_map_weighted_auto(
+    let runs = par_map_weighted(
         &points,
+        threads(),
         |(i, _)| nets[*i].total_macs(),
         |(i, policy)| {
             let stats = exp.run(&nets[*i], *policy);
@@ -288,19 +258,6 @@ pub struct ThroughputResult {
 
 /// Regenerates the throughput figure.
 pub fn fig13_throughput(config: AccelConfig, batch: usize) -> ThroughputResult {
-    fig13_throughput_cached(config, batch, None)
-}
-
-/// [`fig13_throughput`] with per-network result-cache consultation: only
-/// networks missing from `cache` are simulated (delta simulation); output
-/// is byte-identical to the uncached figure. Cells are shared with
-/// [`fig10_traffic_reduction_cached`], so a report regenerating both
-/// figures simulates each network once.
-pub fn fig13_throughput_cached(
-    config: AccelConfig,
-    batch: usize,
-    cache: Option<&CacheSession<'_>>,
-) -> ThroughputResult {
     let mut table = Table::new(
         "Fig 13 - throughput (baseline vs shortcut mining)",
         &[
@@ -311,9 +268,8 @@ pub fn fig13_throughput_cached(
             "img/s mined",
         ],
     );
-    let nets = keyed_networks(batch);
     let results: Vec<(String, f64, f64, f64, f64)> =
-        compare_cells(config, &nets, cache, |_, _, _| {})
+        compare_networks(config, &zoo::evaluated_networks(batch))
             .into_iter()
             .map(|c| {
                 (

@@ -20,7 +20,7 @@
 //! | Ext. 4 | [`ext_spill_order`] | spill-victim order ablation |
 //! | Ext. 5 | [`ext_datatype`] | 8/16/32-bit datatype sensitivity |
 //! | Ext. 6 | [`chaos_degradation`] | graceful degradation under injected faults |
-//! | Ext. 7 | [`retry_budget_sweep`] | retry-budget sensitivity under DRAM faults |
+//! | Ext. 7 | [`retry_budget_study`] | retry-budget sensitivity under DRAM faults |
 //! | Ext. 8 | [`chaos_grid`] | 2-D bank-failure × DRAM-fault degradation grid |
 //! | Ext. 14 | [`control_path_sweep`] | BCU-strike recovery-policy ladder |
 //! | Ext. 15 | [`scheduler_sweep`] | scheduler-state strikes vs four recovery tiers |
@@ -37,14 +37,10 @@ mod sensitivity;
 
 pub use ablation::{table3_ablation, AblationResult};
 pub use chaos::{
-    chaos_degradation, chaos_degradation_cancellable, chaos_degradation_with_budget,
-    chaos_degradation_with_budget_cached, chaos_grid, chaos_grid3, chaos_grid3_cached,
-    chaos_grid3_cancellable, chaos_grid_cached, chaos_grid_cancellable, control_path_sweep,
-    control_path_sweep_cached, control_path_sweep_cancellable, retry_budget_sweep,
-    retry_budget_sweep_cached, retry_budget_sweep_cancellable, scheduler_sweep,
-    scheduler_sweep_cached, scheduler_sweep_cancellable, ChaosCurve, ChaosGrid, ChaosGrid3,
-    ChaosGrid3Cell, ChaosGridCell, ChaosPoint, ControlPathPoint, ControlPathStudy,
-    RetryBudgetPoint, RetryBudgetStudy, SchedulerPoint, SchedulerStudy, CONTROL_PATH_DOUBLE_RATE,
+    chaos_degradation, chaos_grid, chaos_grid3, control_path_sweep, retry_budget_study,
+    retry_budget_sweep, scheduler_sweep, ChaosCurve, ChaosGrid, ChaosGrid3, ChaosGrid3Cell,
+    ChaosGridCell, ChaosPoint, ControlPathPoint, ControlPathStudy, RetryBudgetPoint,
+    RetryBudgetStudy, SchedulerPoint, SchedulerStudy, CONTROL_PATH_DOUBLE_RATE,
     CONTROL_PATH_POLICIES, CONTROL_PATH_TRIPLE_RATE, DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS,
     DEFAULT_GRID_FRACTIONS, DEFAULT_GRID_RATES, DEFAULT_GRID_SITE_RATES, DEFAULT_RETRY_BUDGETS,
     DEFAULT_SCHEDULER_RATES, SCHEDULER_DOUBLE_RATE, SCHEDULER_POLICIES, SCHEDULER_TRIPLE_RATE,
@@ -56,18 +52,15 @@ pub use extensions::{
     ext_new_workloads, ext_pipeline_validation, ext_share_vs_benefit, ext_spill_order,
     ExtSweepResult,
 };
-pub(crate) use headline::{compare_cell_keys, run_compare_cell};
 pub use headline::{
-    compare_cells, compare_cells_cancellable, fig10_traffic_reduction,
-    fig10_traffic_reduction_cached, fig11_traffic_breakdown, fig13_throughput,
-    fig13_throughput_cached, BreakdownResult, ComparisonCell, ThroughputResult, TrafficResult,
+    compare_cells, fig10_traffic_reduction, fig11_traffic_breakdown, fig13_throughput,
+    BreakdownResult, ComparisonCell, ThroughputResult, TrafficResult,
 };
 pub use motivation::{fig2_shortcut_share, table1_networks, table2_config, ShareResult};
 pub use per_block::{fig12_per_block, PerBlockResult};
 pub use retention::{fig17_intermediate_layers, RetentionResult};
 pub use sensitivity::{
-    fig14_capacity_sweep, fig14_capacity_sweep_cached, fig15_batch_sweep, fig15_batch_sweep_cached,
-    SweepResult,
+    fig14_capacity_sweep, fig15_batch_sweep, SweepResult, DEFAULT_CAPACITIES_KIB,
 };
 
 /// Every table of the full evaluation at batch 1, in figure order.
@@ -75,8 +68,8 @@ pub use sensitivity::{
 /// The twelve builders are independent, so they run concurrently on the
 /// worker pool ([`sm_core::parallel`]); the returned order (and therefore
 /// any rendering of it) is the same at every thread count. This is the
-/// workload behind both the `all_experiments` binary and the `smctl bench`
-/// timing harness.
+/// workload behind both the `all_experiments` binary (the one entry point
+/// for the paper's figures) and the `smctl bench` timing harness.
 pub fn all_tables(cfg: sm_accel::AccelConfig) -> Vec<crate::report::Table> {
     type Job = Box<dyn Fn() -> crate::report::Table + Sync>;
     let jobs: Vec<Job> = vec![
@@ -93,7 +86,7 @@ pub fn all_tables(cfg: sm_accel::AccelConfig) -> Vec<crate::report::Table> {
         Box::new(move || table3_ablation(cfg, 1).table),
         Box::new(move || fig17_intermediate_layers(cfg, 1).table),
     ];
-    sm_core::parallel::par_map_auto(&jobs, |job| job())
+    sm_core::parallel::par_map(&jobs, sm_core::parallel::threads(), |job| job())
 }
 
 #[cfg(test)]

@@ -8,11 +8,16 @@
 //! SqueezeNet at batch 1 does — so dispatch is cost-aware by MAC count.
 
 use sm_accel::AccelConfig;
+use sm_core::parallel::{par_map_weighted, threads};
 use sm_core::Experiment;
+use sm_model::zoo;
 
-use super::headline::{compare_cell_keys, compare_cells, keyed_networks, run_compare_cell};
-use crate::cas::{cached_cells, CacheKey, CacheSession, KeyedNet};
+use super::headline::{compare_networks, run_compare_cell};
 use crate::report::{pct, Table};
+
+/// The Fig. 14 capacity axis (KiB), also the default axis of the
+/// service's `capacity-sweep` requests.
+pub const DEFAULT_CAPACITIES_KIB: [u64; 8] = [64, 128, 256, 320, 512, 1024, 2048, 4096];
 
 /// Sweep result: reduction (and speedup) per (x-value, network).
 #[derive(Debug, Clone)]
@@ -26,45 +31,27 @@ pub struct SweepResult {
 /// Fig. 14: feature-map traffic reduction as the feature-map SRAM capacity
 /// sweeps from 64 KiB to 4 MiB (default config otherwise).
 pub fn fig14_capacity_sweep(base: AccelConfig, batch: usize) -> SweepResult {
-    fig14_capacity_sweep_cached(base, batch, None)
-}
-
-/// [`fig14_capacity_sweep`] with per-cell result-cache consultation: only
-/// (capacity, network) cells missing from `cache` are simulated (delta
-/// simulation); output is byte-identical to the uncached sweep. Each cell
-/// is keyed by the capacity-adjusted config, so cells are shared with any
-/// other comparison at the same (network, config).
-pub fn fig14_capacity_sweep_cached(
-    base: AccelConfig,
-    batch: usize,
-    cache: Option<&CacheSession<'_>>,
-) -> SweepResult {
-    let nets = keyed_networks(batch);
+    let nets = zoo::evaluated_networks(batch);
     let mut table = Table::new(
         "Fig 14 - traffic reduction vs on-chip feature-map capacity",
         &["capacity (KiB)", "network", "reduction", "speedup"],
     );
-    const CAPACITIES_KIB: [u64; 8] = [64, 128, 256, 320, 512, 1024, 2048, 4096];
-    let configs = CAPACITIES_KIB.map(|kib| base.with_fm_capacity(kib * 1024));
-    // Capacity-major points; each network's keys share one hashed prefix.
-    let points: Vec<(usize, usize)> = (0..CAPACITIES_KIB.len())
+    let configs = DEFAULT_CAPACITIES_KIB.map(|kib| base.with_fm_capacity(kib * 1024));
+    // Capacity-major points.
+    let points: Vec<(usize, usize)> = (0..DEFAULT_CAPACITIES_KIB.len())
         .flat_map(|c| (0..nets.len()).map(move |i| (c, i)))
         .collect();
-    let per_net: Vec<Vec<CacheKey>> = nets.iter().map(|n| compare_cell_keys(n, configs)).collect();
-    let keys: Vec<CacheKey> = points.iter().map(|&(c, i)| per_net[i][c]).collect();
-    let cells = cached_cells(
-        cache,
+    let cells = par_map_weighted(
         &points,
-        &keys,
-        |&(_, i)| nets[i].net().total_macs(),
-        |&(c, i)| run_compare_cell(&Experiment::new(configs[c]), nets[i].net()),
-        |_, _, _| {},
+        threads(),
+        |&(_, i)| nets[i].total_macs(),
+        |&(c, i)| run_compare_cell(&Experiment::new(configs[c]), &nets[i]),
     );
     let rows: Vec<(u64, String, f64, f64)> = points
         .iter()
         .zip(cells)
         .map(|(&(c, _), cell)| {
-            let kib = CAPACITIES_KIB[c];
+            let kib = DEFAULT_CAPACITIES_KIB[c];
             (kib, cell.network, cell.traffic_reduction, cell.speedup)
         })
         .collect();
@@ -81,27 +68,15 @@ pub fn fig14_capacity_sweep_cached(
 
 /// Fig. 15: feature-map traffic reduction as the batch size sweeps 1–8.
 pub fn fig15_batch_sweep(config: AccelConfig) -> SweepResult {
-    fig15_batch_sweep_cached(config, None)
-}
-
-/// [`fig15_batch_sweep`] with per-cell result-cache consultation: only
-/// (batch, network) cells missing from `cache` are simulated (delta
-/// simulation); output is byte-identical to the uncached sweep. The batch
-/// size is baked into each network's shapes, so the shared comparison-cell
-/// key distinguishes batches through the network content fingerprint.
-pub fn fig15_batch_sweep_cached(
-    config: AccelConfig,
-    cache: Option<&CacheSession<'_>>,
-) -> SweepResult {
     let mut table = Table::new(
         "Fig 15 - traffic reduction vs batch size",
         &["batch", "network", "reduction", "speedup"],
     );
-    let points: Vec<KeyedNet> = [1usize, 2, 4, 8]
+    let nets: Vec<_> = [1usize, 2, 4, 8]
         .iter()
-        .flat_map(|&batch| keyed_networks(batch))
+        .flat_map(|&batch| zoo::evaluated_networks(batch))
         .collect();
-    let rows: Vec<(u64, String, f64, f64)> = compare_cells(config, &points, cache, |_, _, _| {})
+    let rows: Vec<(u64, String, f64, f64)> = compare_networks(config, &nets)
         .into_iter()
         .map(|c| (c.batch, c.network, c.traffic_reduction, c.speedup))
         .collect();

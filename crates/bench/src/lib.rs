@@ -2,8 +2,10 @@
 //! Mining evaluation.
 //!
 //! Each experiment lives in [`experiments`] as a function returning a typed
-//! result plus a [`report::Table`] renderer; the `src/bin/*` binaries are
-//! thin wrappers, so the experiment logic itself is unit-tested. The mapping
+//! result plus a [`report::Table`] renderer; the two binaries
+//! (`all_experiments` for the paper's figures, `ext_experiments` for the
+//! extensions) are thin wrappers, so the experiment logic itself is
+//! unit-tested. The mapping
 //! from paper table/figure to module is recorded in `DESIGN.md`; measured
 //! values vs the paper's are recorded in `EXPERIMENTS.md`.
 //!
@@ -19,9 +21,9 @@
 pub mod cas;
 pub mod experiments;
 pub mod iofault;
-pub mod json;
 pub mod report;
 pub mod service;
+pub mod sweep;
 pub mod timing;
 
 /// Headline numbers pinned by the paper's abstract, used by tests and

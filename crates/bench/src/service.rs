@@ -41,16 +41,11 @@
 //! for the life of the service, so a warm request pays only for probes
 //! and encoding.
 //!
-//! | kind | sweep | cell type |
-//! |---|---|---|
-//! | `chaos-curve` | [`chaos_degradation_cancellable`] | `ChaosPoint` |
-//! | `chaos-grid` | [`chaos_grid_cancellable`] | `ChaosGridCell` |
-//! | `chaos-grid3` | [`chaos_grid3_cancellable`] | `ChaosGrid3Cell` |
-//! | `control-path` | [`control_path_sweep_cancellable`] | `ControlPathPoint` |
-//! | `scheduler` | [`scheduler_sweep_cancellable`] | `SchedulerPoint` |
-//! | `retry-budget` | [`retry_budget_sweep_cancellable`] | `RetryBudgetPoint` |
-//! | `compare` | [`compare_cells_cancellable`] | `ComparisonCell` |
-//! | `capacity-sweep` | per-capacity comparison | `ComparisonCell` |
+//! The `kind` field names a [`SweepKind`] — the registry in
+//! [`crate::sweep`] lists every kind with its sweep and cell type — and the
+//! axis fields fill its [`SweepAxes`]. The network is resolved before the
+//! kind is looked up, so a request naming both an unknown network and an
+//! unknown kind reports the network.
 //!
 //! # Concurrency and the deterministic mux
 //!
@@ -95,27 +90,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use serde::json::{parse_document, to_string};
 use serde::Serialize;
 
 use sm_accel::AccelConfig;
-use sm_core::parallel::{threads, CancelCheck, Cancelled};
-use sm_core::Experiment;
+use sm_core::parallel::{threads, Cancelled};
 use sm_model::{graph, zoo};
 
-use crate::cas::{cached_cells_cancellable, KeyedNet, ResultCache};
-use crate::experiments::{
-    chaos_degradation_cancellable, chaos_grid3_cancellable, chaos_grid_cancellable,
-    compare_cells_cancellable, control_path_sweep_cancellable, retry_budget_sweep_cancellable,
-    scheduler_sweep_cancellable, CONTROL_PATH_POLICIES, DEFAULT_CONTROL_PATH_RATES,
-    DEFAULT_FRACTIONS, DEFAULT_GRID_FRACTIONS, DEFAULT_GRID_RATES, DEFAULT_GRID_SITE_RATES,
-    DEFAULT_RETRY_BUDGETS, DEFAULT_SCHEDULER_RATES, SCHEDULER_POLICIES,
-};
-use crate::experiments::{compare_cell_keys, run_compare_cell};
-use crate::json::{parse_value_document, to_json};
+use crate::cas::{KeyedNet, ResultCache, RunCtx};
+use crate::sweep::{CellSink, SweepAxes, SweepKind};
 
-/// Default capacity axis (KiB) for `capacity-sweep` requests — matches the
-/// Fig. 14 sweep.
-pub const DEFAULT_CAPACITIES_KIB: [u64; 8] = [64, 128, 256, 320, 512, 1024, 2048, 4096];
+/// Default capacity axis (KiB) for `capacity-sweep` requests — the Fig. 14
+/// sweep's axis.
+pub use crate::experiments::DEFAULT_CAPACITIES_KIB;
 
 /// Zoo networks the service keeps built and fingerprinted, by
 /// `(name, batch)`; the least recently used one makes room for a new one.
@@ -201,24 +188,18 @@ struct Request {
     kind: String,
     network: String,
     batch: usize,
-    seed: u64,
-    dram_rate: f64,
-    retry_budget: Option<u32>,
-    fractions: Option<Vec<f64>>,
-    rates: Option<Vec<f64>>,
-    site_rates: Option<Vec<f64>>,
-    budgets: Option<Vec<u32>>,
-    capacities_kib: Option<Vec<u64>>,
+    axes: SweepAxes,
     deadline_ms: Option<u64>,
     net_file: Option<String>,
     graph: Option<String>,
 }
 
 fn parse_request(line: &str) -> Result<Request, (String, String)> {
-    let value = parse_value_document(line).map_err(|e| (String::new(), e.to_string()))?;
+    let value = parse_document(line).map_err(|e| (String::new(), e.to_string()))?;
     // The id is recovered first so even a shape error can be attributed.
     let id: String = value.field_opt("id").ok().flatten().unwrap_or_default();
     let fail = |msg: String| (id.clone(), msg);
+    let defaults = SweepAxes::default();
     let kind: String = value.field("kind").map_err(|e| fail(e.to_string()))?;
     let network: String = value
         .field_opt("network")
@@ -231,30 +212,32 @@ fn parse_request(line: &str) -> Result<Request, (String, String)> {
             .field_opt("batch")
             .map_err(|e| fail(e.to_string()))?
             .unwrap_or(1),
-        seed: value
-            .field_opt("seed")
-            .map_err(|e| fail(e.to_string()))?
-            .unwrap_or(42),
-        dram_rate: value
-            .field_opt("dram_rate")
-            .map_err(|e| fail(e.to_string()))?
-            .unwrap_or(0.01),
-        retry_budget: value
-            .field_opt("retry_budget")
-            .map_err(|e| fail(e.to_string()))?,
-        fractions: value
-            .field_opt("fractions")
-            .map_err(|e| fail(e.to_string()))?,
-        rates: value.field_opt("rates").map_err(|e| fail(e.to_string()))?,
-        site_rates: value
-            .field_opt("site_rates")
-            .map_err(|e| fail(e.to_string()))?,
-        budgets: value
-            .field_opt("budgets")
-            .map_err(|e| fail(e.to_string()))?,
-        capacities_kib: value
-            .field_opt("capacities_kib")
-            .map_err(|e| fail(e.to_string()))?,
+        axes: SweepAxes {
+            seed: value
+                .field_opt("seed")
+                .map_err(|e| fail(e.to_string()))?
+                .unwrap_or(defaults.seed),
+            dram_rate: value
+                .field_opt("dram_rate")
+                .map_err(|e| fail(e.to_string()))?
+                .unwrap_or(defaults.dram_rate),
+            retry_budget: value
+                .field_opt("retry_budget")
+                .map_err(|e| fail(e.to_string()))?,
+            fractions: value
+                .field_opt("fractions")
+                .map_err(|e| fail(e.to_string()))?,
+            rates: value.field_opt("rates").map_err(|e| fail(e.to_string()))?,
+            site_rates: value
+                .field_opt("site_rates")
+                .map_err(|e| fail(e.to_string()))?,
+            budgets: value
+                .field_opt("budgets")
+                .map_err(|e| fail(e.to_string()))?,
+            capacities_kib: value
+                .field_opt("capacities_kib")
+                .map_err(|e| fail(e.to_string()))?,
+        },
         deadline_ms: value
             .field_opt("deadline_ms")
             .map_err(|e| fail(e.to_string()))?,
@@ -289,7 +272,7 @@ fn emit_stream(rx: &mpsc::Receiver<String>, out: &mut impl Write) -> io::Result<
 }
 
 fn quoted(s: &str) -> String {
-    to_json(&s).expect("string serialization is infallible")
+    to_string(&s).expect("string serialization is infallible")
 }
 
 fn error_line(id: &str, reason: &str, message: &str) -> String {
@@ -482,6 +465,26 @@ fn maybe_emit_health(
     }
 }
 
+/// Streams a request's cells as `cell` events, each followed by a health
+/// check so store-state transitions surface promptly.
+struct EventSink<'a> {
+    id: &'a str,
+    store: &'a ResultCache,
+    tx: &'a mpsc::Sender<String>,
+    last_health: &'a AtomicU64,
+}
+
+impl CellSink for EventSink<'_> {
+    fn cell<T: Serialize>(&mut self, index: usize, cached: bool, data: &T) {
+        let payload = to_string(data).expect("cell serialization is infallible");
+        let _ = self.tx.send(format!(
+            r#"{{"id":{},"event":"cell","index":{index},"cached":{cached},"data":{payload}}}"#,
+            quoted(self.id)
+        ));
+        maybe_emit_health(self.store, self.tx, self.last_health, self.id);
+    }
+}
+
 fn handle_request(
     req: &Request,
     store: &ResultCache,
@@ -501,168 +504,32 @@ fn handle_request(
             return;
         }
     };
-    let config = AccelConfig::default();
+    let Some(kind) = SweepKind::parse(&req.kind) else {
+        let _ = tx.send(error_line(
+            &req.id,
+            "unserviceable",
+            &SweepKind::unknown(&req.kind),
+        ));
+        return;
+    };
     let session = store.session();
     // Master cancel: a dead client or an expired deadline stops the sweep
     // at the next cell boundary.
-    let cancel_fn = move || {
+    let cancel = move || {
         write_failed.load(Ordering::Relaxed) || deadline.is_some_and(|d| Instant::now() >= d)
     };
-    let cancel: CancelCheck<'_> = &cancel_fn;
-    // Cell events stream as the frontier advances, each followed by a
-    // health check so store-state transitions surface promptly.
-    macro_rules! on_cell {
-        () => {
-            |index, cached, data: &_| {
-                let payload = to_json(data).expect("cell serialization is infallible");
-                let _ = tx.send(format!(
-                    r#"{{"id":{},"event":"cell","index":{index},"cached":{cached},"data":{payload}}}"#,
-                    quoted(&req.id)
-                ));
-                maybe_emit_health(store, tx, last_health, &req.id);
-            }
-        };
-    }
-    let result: Result<String, Cancelled> = match req.kind.as_str() {
-        "chaos-curve" => {
-            let fractions = req.fractions.as_deref().unwrap_or(&DEFAULT_FRACTIONS);
-            chaos_degradation_cancellable(
-                &net,
-                config,
-                req.seed,
-                fractions,
-                req.dram_rate,
-                req.retry_budget,
-                Some(&session),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|s| serialize(&s))
-        }
-        "chaos-grid" => {
-            let fractions = req.fractions.as_deref().unwrap_or(&DEFAULT_GRID_FRACTIONS);
-            let rates = req.rates.as_deref().unwrap_or(&DEFAULT_GRID_RATES);
-            chaos_grid_cancellable(
-                &net,
-                config,
-                req.seed,
-                fractions,
-                rates,
-                req.retry_budget,
-                Some(&session),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|s| serialize(&s))
-        }
-        "chaos-grid3" => {
-            let fractions = req.fractions.as_deref().unwrap_or(&DEFAULT_GRID_FRACTIONS);
-            let rates = req.rates.as_deref().unwrap_or(&DEFAULT_GRID_RATES);
-            let sites = req
-                .site_rates
-                .as_deref()
-                .unwrap_or(&DEFAULT_GRID_SITE_RATES);
-            chaos_grid3_cancellable(
-                &net,
-                config,
-                req.seed,
-                fractions,
-                rates,
-                sites,
-                req.retry_budget,
-                Some(&session),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|s| serialize(&s))
-        }
-        "control-path" => {
-            let rates = req.rates.as_deref().unwrap_or(&DEFAULT_CONTROL_PATH_RATES);
-            control_path_sweep_cancellable(
-                &net,
-                config,
-                req.seed,
-                &CONTROL_PATH_POLICIES,
-                rates,
-                req.retry_budget,
-                Some(&session),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|s| serialize(&s))
-        }
-        "scheduler" => {
-            let rates = req.rates.as_deref().unwrap_or(&DEFAULT_SCHEDULER_RATES);
-            scheduler_sweep_cancellable(
-                &net,
-                config,
-                req.seed,
-                &SCHEDULER_POLICIES,
-                rates,
-                req.retry_budget,
-                Some(&session),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|s| serialize(&s))
-        }
-        "retry-budget" => {
-            let budgets = req.budgets.as_deref().unwrap_or(&DEFAULT_RETRY_BUDGETS);
-            retry_budget_sweep_cancellable(
-                &net,
-                config,
-                req.seed,
-                req.dram_rate,
-                budgets,
-                Some(&session),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|s| serialize(&s))
-        }
-        "compare" => compare_cells_cancellable(
-            config,
-            std::slice::from_ref(&*net),
-            Some(&session),
-            on_cell!(),
-            Some(cancel),
-        )
-        .map(|cells| serialize(&cells)),
-        "capacity-sweep" => {
-            let caps: &[u64] = req
-                .capacities_kib
-                .as_deref()
-                .unwrap_or(&DEFAULT_CAPACITIES_KIB);
-            let configs: Vec<AccelConfig> = caps
-                .iter()
-                .map(|&kib| config.with_fm_capacity(kib * 1024))
-                .collect();
-            let keys = compare_cell_keys(&net, configs.iter().copied());
-            cached_cells_cancellable(
-                Some(&session),
-                &configs,
-                &keys,
-                |_| net.net().total_macs(),
-                |&config| run_compare_cell(&Experiment::new(config), net.net()),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|cells| serialize(&cells))
-        }
-        other => {
-            let _ = tx.send(error_line(
-                &req.id,
-                "unserviceable",
-                &format!(
-                    "unknown kind {other:?} (expected chaos-curve, chaos-grid, chaos-grid3, \
-                     control-path, scheduler, retry-budget, compare, or capacity-sweep)"
-                ),
-            ));
-            return;
-        }
+    let ctx = RunCtx {
+        cache: Some(&session),
+        cancel: Some(&cancel),
     };
-    let result = match result {
-        Ok(result) => result,
+    let mut sink = EventSink {
+        id: &req.id,
+        store,
+        tx,
+        last_health,
+    };
+    let result = match kind.run(&net, AccelConfig::default(), &req.axes, &ctx, &mut sink) {
+        Ok(output) => output.to_json(),
         Err(Cancelled) => {
             let (reason, msg) = if write_failed.load(Ordering::Relaxed) {
                 (
@@ -681,7 +548,7 @@ fn handle_request(
     };
     // A transition on the final put would otherwise go unreported.
     maybe_emit_health(store, tx, last_health, &req.id);
-    let cache = to_json(&session.stats()).expect("stats serialization is infallible");
+    let cache = to_string(&session.stats()).expect("stats serialization is infallible");
     let ms = if options.deterministic_timing {
         0.0
     } else {
@@ -691,10 +558,6 @@ fn handle_request(
         r#"{{"id":{},"event":"done","ms":{ms:.3},"result":{result},"cache":{cache}}}"#,
         quoted(&req.id)
     ));
-}
-
-fn serialize<T: Serialize>(value: &T) -> String {
-    to_json(value).expect("sweep result serialization is infallible")
 }
 
 #[cfg(test)]
@@ -809,6 +672,49 @@ mod tests {
         assert!(lines
             .iter()
             .any(|l| l.contains(r#""id":"b","event":"error""#) && l.contains("unknown network")));
+        assert!(lines
+            .iter()
+            .any(|l| l.contains(r#""id":"c","event":"done""#)));
+    }
+
+    #[test]
+    fn an_unknown_network_is_reported_before_an_unknown_kind() {
+        let store = tmp_store("unknown-both");
+        let lines = serve(&store, r#"{"id":"u","kind":"nope","network":"nonet"}"#);
+        let error = lines
+            .iter()
+            .find(|l| l.contains(r#""id":"u","event":"error""#))
+            .expect("an error event");
+        assert!(error.contains(r#""reason":"unserviceable""#), "{error}");
+        assert!(error.contains("unknown network"), "{error}");
+        assert!(!error.contains("unknown kind"), "{error}");
+    }
+
+    #[test]
+    fn nesting_bomb_is_a_bad_request_and_the_next_line_is_served() {
+        // 300,000 `[` used to overflow the parser's stack and abort the
+        // process before line 3 was read.
+        let store = tmp_store("nesting-bomb");
+        let ok = r#"{"id":"a","kind":"compare","network":"toy_residual"}"#;
+        let input = format!(
+            "{ok}\n{}\n{}\n",
+            "[".repeat(300_000),
+            ok.replace("\"a\"", "\"c\"")
+        );
+        let lines = serve(&store, &input);
+        assert!(lines[0].contains(r#""id":"a","event":"accepted""#));
+        assert!(lines
+            .iter()
+            .any(|l| l.contains(r#""id":"a","event":"done""#)));
+        let bomb = lines
+            .iter()
+            .find(|l| l.contains(r#""event":"error""#))
+            .expect("the bomb is answered");
+        assert!(
+            bomb.contains(r#""id":"","event":"error","reason":"bad-request""#),
+            "{bomb}"
+        );
+        assert!(bomb.contains("nesting deeper than 128"), "{bomb}");
         assert!(lines
             .iter()
             .any(|l| l.contains(r#""id":"c","event":"done""#)));

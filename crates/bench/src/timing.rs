@@ -22,8 +22,9 @@ use sm_core::parallel::set_threads;
 use sm_tensor::ops::{conv2d, conv2d_im2col, gemm_nt, gemm_nt_micro, Conv2dParams};
 use sm_tensor::{Shape4, Tensor};
 
-use crate::cas::ResultCache;
-use crate::experiments::{all_tables, chaos_grid_cached};
+use crate::cas::{KeyedNet, ResultCache, RunCtx};
+use crate::experiments::{all_tables, chaos_grid};
+use crate::sweep::SweepAxes;
 
 /// The headline replay GEMM shape: the 64-channel 56×56 3×3 convolution of
 /// the ResNet mid-network, lowered by im2col — `rows` output positions by
@@ -216,20 +217,23 @@ pub fn run_bench(threads: usize) -> BenchReport {
         sm_model::zoo::resnet34(1),
         sm_model::zoo::squeezenet_v10_simple_bypass(1),
     ];
+    let axes = SweepAxes {
+        seed: 5,
+        retry_budget: Some(8),
+        fractions: Some(vec![0.0, 0.05, 0.1, 0.2, 0.3, 0.5]),
+        rates: Some(vec![0.0, 0.01, 0.05, 0.1, 0.2]),
+        ..SweepAxes::default()
+    };
     let run_grids = |session| {
+        let ctx = RunCtx {
+            cache: Some(session),
+            cancel: None,
+        };
         bench_nets
             .iter()
             .map(|net| {
-                chaos_grid_cached(
-                    net,
-                    cfg,
-                    5,
-                    &[0.0, 0.05, 0.1, 0.2, 0.3, 0.5],
-                    &[0.0, 0.01, 0.05, 0.1, 0.2],
-                    Some(8),
-                    Some(session),
-                    |_, _, _| {},
-                )
+                let net = KeyedNet::new(net.clone());
+                chaos_grid(&net, cfg, &axes, &ctx, &mut ()).expect("no cancel check")
             })
             .collect::<Vec<_>>()
     };
@@ -400,7 +404,7 @@ impl BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{from_json, to_json};
+    use serde::json::{from_str, to_string};
 
     #[test]
     fn median_is_stable_under_reordering() {
@@ -484,10 +488,10 @@ mod tests {
     #[test]
     fn report_json_round_trips_with_the_new_fields() {
         let r = report(2);
-        let body = to_json(&r).unwrap();
+        let body = to_string(&r).unwrap();
         assert!(body.contains("\"gemm_micro_speedup\":6"));
         assert!(body.contains("\"result_warm_speedup\":50"));
-        let back: BenchReport = from_json(&body).unwrap();
+        let back: BenchReport = from_str(&body).unwrap();
         assert_eq!(back.gemm_scalar_ms, r.gemm_scalar_ms);
         assert_eq!(back.gemm_micro_speedup, r.gemm_micro_speedup);
         assert_eq!(back.plan_cache_hits, r.plan_cache_hits);
@@ -500,7 +504,7 @@ mod tests {
         // A report serialized before the result-cache fields existed: they
         // must default to zero/false instead of failing the parse.
         let r = report(2);
-        let mut body = to_json(&r).unwrap();
+        let mut body = to_string(&r).unwrap();
         for field in [
             "\"plan_cache_misses\":0,",
             "\"result_cold_ms\":500,",
@@ -518,7 +522,7 @@ mod tests {
             );
             body = body.replace(field, "");
         }
-        let back: BenchReport = from_json(&body).unwrap();
+        let back: BenchReport = from_str(&body).unwrap();
         assert_eq!(back.result_cold_ms, 0.0);
         assert_eq!(back.result_cache_hits, 0);
         assert!(!back.result_warm_identical);
@@ -530,7 +534,7 @@ mod tests {
         // A report serialized before the gemm_* fields existed: they must
         // default to zero instead of failing the parse.
         let r = report(2);
-        let mut body = to_json(&r).unwrap();
+        let mut body = to_string(&r).unwrap();
         for field in [
             "\"gemm_scalar_ms\":120,",
             "\"gemm_micro_ms\":20,",
@@ -542,7 +546,7 @@ mod tests {
             );
             body = body.replace(field, "");
         }
-        let back: BenchReport = from_json(&body).unwrap();
+        let back: BenchReport = from_str(&body).unwrap();
         assert_eq!(back.gemm_scalar_ms, 0.0);
         assert_eq!(back.gemm_micro_ms, 0.0);
         assert_eq!(back.gemm_micro_speedup, 0.0);

@@ -20,7 +20,9 @@
 //! item costs — ResNet-152 next to SqueezeNet — still balance. When a cost
 //! estimate is available up front (network MAC counts), [`par_map_weighted`]
 //! instead assigns items largest-first by a static greedy schedule, which
-//! bounds the makespan without sacrificing byte-identity.
+//! bounds the makespan without sacrificing byte-identity;
+//! [`par_map_stream`] runs that same schedule while streaming results in
+//! input order under an optional cancel check.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -136,16 +138,6 @@ where
     tagged.into_iter().map(|(_, u)| u).collect()
 }
 
-/// [`par_map`] at the configured worker count ([`threads`]).
-pub fn par_map_auto<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map(items, threads(), f)
-}
-
 /// Cost-aware [`par_map`]: dispatches the most expensive items first so a
 /// skewed batch (ResNet-152 next to SqueezeNet) never strands one worker on
 /// the big item while the others idle.
@@ -178,57 +170,19 @@ where
     F: Fn(&T) -> U + Sync,
     C: Fn(&T) -> u64,
 {
-    let workers = threads.min(items.len()).max(1);
-    if workers == 1 {
-        return items.iter().map(f).collect();
-    }
-
-    // Descending estimated cost, index ascending on ties: the schedule
-    // depends only on the costs, never on timing.
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(cost(&items[i])), i));
-
-    // Static greedy LPT assignment to the least-loaded worker.
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    let mut loads = vec![0u64; workers];
-    for &i in &order {
-        let w = (0..workers)
-            .min_by_key(|&w| (loads[w], w))
-            .expect("workers > 0");
-        loads[w] = loads[w].saturating_add(cost(&items[i]).max(1));
-        queues[w].push(i);
-    }
-
-    let mut tagged: Vec<(usize, U)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for queue in &queues {
-            handles.push(scope.spawn(|| {
-                queue
-                    .iter()
-                    .map(|&i| (i, f(&items[i])))
-                    .collect::<Vec<(usize, U)>>()
-            }));
-        }
-        for handle in handles {
-            tagged.extend(handle.join().expect("weighted sweep worker panicked"));
-        }
-    });
-    tagged.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(tagged.len(), items.len());
-    tagged.into_iter().map(|(_, u)| u).collect()
+    par_map_stream(items, threads, cost, f, |_, _| {}, None)
+        .expect("a dispatch without a cancel check cannot be cancelled")
 }
 
-/// Shared cancellation predicate consulted between work items by the
-/// `*_cancellable` dispatch variants. Returning `true` asks the dispatch to
-/// stop before the next item; items already running complete normally, so
+/// Cancellation predicate consulted between work items by
+/// [`par_map_stream`]. Returning `true` asks the dispatch to stop before
+/// the next item; items already running complete normally, so
 /// cancellation lands on item boundaries (cell granularity for the sweep
 /// service's deadlines).
 pub type CancelCheck<'a> = &'a (dyn Fn() -> bool + Sync);
 
-/// Typed "the dispatch was cancelled" error returned by the
-/// `*_cancellable` variants when their [`CancelCheck`] fired before every
-/// item completed.
+/// Typed "the dispatch was cancelled" error returned by [`par_map_stream`]
+/// when its [`CancelCheck`] fired before every item completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cancelled;
 
@@ -240,51 +194,51 @@ impl std::fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
-/// [`par_map_weighted`] that additionally streams each result to `on_ready`
-/// **in input order** as soon as the contiguous prefix up to it has
-/// completed — the dispatch behind the resident sweep service, which emits
-/// a JSON line per finished cell while later cells are still running.
+/// The static greedy longest-processing-time schedule described on
+/// [`par_map_weighted`]: one queue of item indices per worker.
+fn lpt_queues<T>(items: &[T], workers: usize, cost: impl Fn(&T) -> u64) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(cost(&items[i])), i));
+    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); workers];
+    let mut loads = vec![0u64; workers];
+    for &i in &order {
+        let w = (0..workers)
+            .min_by_key(|&w| (loads[w], w))
+            .expect("workers > 0");
+        loads[w] = loads[w].saturating_add(cost(&items[i]).max(1));
+        queues[w].push(i);
+    }
+    queues
+}
+
+/// [`par_map_weighted`] that streams each result to `on_ready` **in input
+/// order** as soon as the contiguous prefix up to it has completed, with
+/// optional cooperative cancellation — the dispatch behind the resident
+/// sweep service, which emits a JSON line per finished cell while later
+/// cells are still running.
 ///
-/// Work assignment is the same static greedy LPT schedule as
-/// [`par_map_weighted`], so the returned vector is byte-identical to the
-/// serial `items.iter().map(f).collect()` at every thread count, and
+/// Work assignment is the [`par_map_weighted`] LPT schedule, so the
+/// returned vector is byte-identical to the serial
+/// `items.iter().map(f).collect()` at every thread count, and
 /// `on_ready(i, &result[i])` fires exactly once per item with `i` strictly
 /// ascending. `on_ready` runs on the calling thread; workers hand results
 /// over a channel rather than invoking the callback themselves, so the
 /// callback needs no synchronization and observes results in order even
 /// when items complete out of order.
-pub fn par_map_weighted_stream<T, U, F, C, G>(
-    items: &[T],
-    threads: usize,
-    cost: C,
-    f: F,
-    on_ready: G,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-    C: Fn(&T) -> u64,
-    G: FnMut(usize, &U),
-{
-    par_map_weighted_stream_cancellable(items, threads, cost, f, on_ready, None)
-        .expect("a dispatch without a cancel source cannot be cancelled")
-}
-
-/// [`par_map_weighted_stream`] with cooperative cancellation: workers
-/// consult `cancel` before starting each item and stop claiming new work
-/// once it returns `true`. Results (and `on_ready` calls) for the
-/// contiguous in-order prefix that completed are still delivered; if any
-/// item was abandoned the call returns [`Cancelled`] instead of a result
-/// vector.
 ///
-/// With `cancel = None` — or a check that never fires — the behavior and
-/// output are exactly [`par_map_weighted_stream`]: same static LPT
-/// schedule, byte-identical to serial at every thread count. Cancellation
-/// is best-effort on item boundaries: items already executing run to
-/// completion, and a check that first returns `true` after the last item
-/// was claimed yields `Ok` rather than `Err`.
-pub fn par_map_weighted_stream_cancellable<T, U, F, C, G>(
+/// Workers consult `cancel` before starting each item and stop claiming
+/// work once it returns `true`. The contiguous in-order prefix that
+/// completed is still delivered through `on_ready`; if any item was
+/// abandoned the call returns [`Cancelled`]. Cancellation is best-effort
+/// on item boundaries: items already executing run to completion, and a
+/// check that first returns `true` after the last item was claimed yields
+/// `Ok`. A check that never fires leaves the output exactly as with
+/// `cancel = None`.
+///
+/// # Errors
+///
+/// Returns [`Cancelled`] when the check fired before every item ran.
+pub fn par_map_stream<T, U, F, C, G>(
     items: &[T],
     threads: usize,
     cost: C,
@@ -314,21 +268,8 @@ where
         return Ok(out);
     }
 
-    // The same deterministic LPT assignment as par_map_weighted.
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(cost(&items[i])), i));
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    let mut loads = vec![0u64; workers];
-    for &i in &order {
-        let w = (0..workers)
-            .min_by_key(|&w| (loads[w], w))
-            .expect("workers > 0");
-        loads[w] = loads[w].saturating_add(cost(&items[i]).max(1));
-        queues[w].push(i);
-    }
-
+    let queues = lpt_queues(items, workers, cost);
     let mut slots: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    let mut delivered = 0usize;
     std::thread::scope(|scope| {
         let (tx, rx) = std::sync::mpsc::channel::<(usize, U)>();
         let f = &f;
@@ -353,37 +294,16 @@ where
         let mut frontier = 0usize;
         for (i, u) in rx {
             slots[i] = Some(u);
-            while frontier < slots.len() {
-                match &slots[frontier] {
-                    Some(u) => {
-                        on_ready(frontier, u);
-                        frontier += 1;
-                    }
-                    None => break,
-                }
+            while let Some(Some(u)) = slots.get(frontier) {
+                on_ready(frontier, u);
+                frontier += 1;
             }
         }
-        delivered = frontier;
     });
-    if slots.iter().any(|s| s.is_none()) {
-        return Err(Cancelled);
-    }
-    debug_assert_eq!(delivered, slots.len());
-    Ok(slots
+    slots
         .into_iter()
-        .map(|u| u.expect("stream worker completed every item"))
-        .collect())
-}
-
-/// [`par_map_weighted`] at the configured worker count ([`threads`]).
-pub fn par_map_weighted_auto<T, U, F, C>(items: &[T], cost: C, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-    C: Fn(&T) -> u64,
-{
-    par_map_weighted(items, threads(), cost, f)
+        .collect::<Option<Vec<U>>>()
+        .ok_or(Cancelled)
 }
 
 #[cfg(test)]
@@ -487,7 +407,7 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(|x| x * 7 + 1).collect();
         for threads in [1usize, 2, 4, 16] {
             let mut seen: Vec<usize> = Vec::new();
-            let out = par_map_weighted_stream(
+            let out = par_map_stream(
                 &items,
                 threads,
                 |&x| x,
@@ -496,7 +416,9 @@ mod tests {
                     assert_eq!(*u, expect[i], "value at {i}");
                     seen.push(i);
                 },
-            );
+                None,
+            )
+            .unwrap();
             assert_eq!(out, expect, "{threads} threads");
             assert_eq!(seen, (0..items.len()).collect::<Vec<_>>(), "{threads}");
         }
@@ -506,10 +428,11 @@ mod tests {
     fn stream_handles_empty_and_singleton_inputs() {
         let none: Vec<u32> = Vec::new();
         let mut calls = 0;
-        assert!(par_map_weighted_stream(&none, 8, |_| 1, |x| *x, |_, _| calls += 1).is_empty());
+        let out = par_map_stream(&none, 8, |_| 1, |x| *x, |_, _| calls += 1, None);
+        assert!(out.unwrap().is_empty());
         assert_eq!(calls, 0);
-        let out = par_map_weighted_stream(&[7u32], 8, |_| 1, |x| x + 1, |_, _| calls += 1);
-        assert_eq!((out, calls), (vec![8], 1));
+        let out = par_map_stream(&[7u32], 8, |_| 1, |x| x + 1, |_, _| calls += 1, None);
+        assert_eq!((out.unwrap(), calls), (vec![8], 1));
     }
 
     #[test]
@@ -517,7 +440,7 @@ mod tests {
         // Item 0 is slow; the callback must still see 0 before 1..n.
         let items: Vec<u64> = (0..8).collect();
         let mut seen = Vec::new();
-        par_map_weighted_stream(
+        par_map_stream(
             &items,
             4,
             |_| 1,
@@ -528,17 +451,19 @@ mod tests {
                 x
             },
             |i, _| seen.push(i),
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
-    fn cancellable_stream_without_a_source_matches_the_plain_stream() {
+    fn stream_without_a_cancel_check_matches_par_map_weighted() {
         let items: Vec<u64> = (0..37).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 5 + 2).collect();
         for threads in [1usize, 2, 4] {
             let mut seen = Vec::new();
-            let out = par_map_weighted_stream_cancellable(
+            let out = par_map_stream(
                 &items,
                 threads,
                 |&x| x,
@@ -549,25 +474,22 @@ mod tests {
             .unwrap();
             assert_eq!(out, expect, "{threads} threads");
             assert_eq!(seen, (0..items.len()).collect::<Vec<_>>());
+            let weighted = par_map_weighted(&items, threads, |&x| x, |x| x * 5 + 2);
+            assert_eq!(out, weighted, "{threads} threads");
         }
     }
 
     #[test]
-    fn never_firing_cancel_check_is_byte_identical_to_uncancellable() {
+    fn never_firing_cancel_check_is_byte_identical_to_none() {
         let items: Vec<u64> = (0..29).collect();
         let never = || false;
         for threads in [1usize, 3, 8] {
-            let cancellable = par_map_weighted_stream_cancellable(
-                &items,
-                threads,
-                |&x| x,
-                |x| x * 9,
-                |_, _| {},
-                Some(&never),
-            )
-            .unwrap();
-            let plain = par_map_weighted_stream(&items, threads, |&x| x, |x| x * 9, |_, _| {});
-            assert_eq!(cancellable, plain, "{threads} threads");
+            let run = |cancel: Option<CancelCheck<'_>>| {
+                par_map_stream(&items, threads, |&x| x, |x| x * 9, |_, _| {}, cancel)
+            };
+            let checked = run(Some(&never)).unwrap();
+            let unchecked = run(None).unwrap();
+            assert_eq!(checked, unchecked, "{threads} threads");
         }
     }
 
@@ -578,7 +500,7 @@ mod tests {
         let ran = AtomicUsize::new(0);
         let always = || true;
         for threads in [1usize, 4] {
-            let r = par_map_weighted_stream_cancellable(
+            let r = par_map_stream(
                 &items,
                 threads,
                 |_| 1,
@@ -602,7 +524,7 @@ mod tests {
         // Fire after the fourth item starts: later items are abandoned.
         let cancel = || ran.load(Ordering::Relaxed) >= 4;
         let mut seen = Vec::new();
-        let r = par_map_weighted_stream_cancellable(
+        let r = par_map_stream(
             &items,
             2,
             |_| 1,

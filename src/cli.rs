@@ -13,7 +13,10 @@
 
 use std::fmt;
 
+use serde::json::to_string;
 use sm_accel::AccelConfig;
+use sm_bench::cas::{KeyedNet, RunCtx};
+use sm_bench::sweep::{SweepAxes, SweepKind};
 use sm_core::functional::verify_value_preservation;
 use sm_core::{analysis, Experiment, Policy, SpillOrder};
 use sm_model::stats::NetworkStats;
@@ -71,28 +74,15 @@ pub enum Command {
         network: String,
         /// Batch size (default 1).
         batch: usize,
-        /// Fault-plan seed (default 42).
-        seed: u64,
-        /// Per-attempt DRAM failure probability (default 0.01).
-        dram_rate: f64,
-        /// Retry budget override (`--retry-budget`; default: plan default).
-        retry_budget: Option<u32>,
-        /// Run the retry-budget sensitivity study instead of the
-        /// bank-failure sweep.
-        budget_sweep: bool,
-        /// Run the 2-D bank-failure × DRAM-fault grid instead of the 1-D
-        /// bank-failure sweep.
-        grid: bool,
-        /// Site-strike rates (`--site-rate <p,p,...>`) extending the grid
-        /// to a 3-D bank × DRAM × site volume.
-        site_rates: Option<Vec<f64>>,
-        /// Run the control-path study instead: BCU mapping-table strikes
-        /// under SECDED ECC across the recovery-policy ladder.
-        control_path: bool,
-        /// Run the scheduler-state study instead: retention-table / pin-set
-        /// / spill-queue strikes across all four recovery tiers including
-        /// checkpoint/rollback.
-        scheduler: bool,
+        /// The sweep, chosen by at most one mode flag: `chaos-curve` (no
+        /// flag), `retry-budget` (`--budget-sweep`), `chaos-grid`
+        /// (`--grid`), `chaos-grid3` (`--grid --site-rate`), `control-path`
+        /// (`--control-path`) or `scheduler` (`--scheduler`).
+        kind: SweepKind,
+        /// Seed (`--seed`), DRAM fault rate (`--dram-rate`), retry-budget
+        /// override (`--retry-budget`) and site-strike rates
+        /// (`--site-rate`); every other axis takes the kind's default.
+        axes: SweepAxes,
         /// Persistent content-addressed result cache directory
         /// (`--cache-dir`): cells already in the cache are loaded instead of
         /// re-simulated, and computed cells are written back.
@@ -210,7 +200,9 @@ USAGE:
                 [--retry-budget <n>] [--budget-sweep] [--grid]
                 [--site-rate <p,p,...>] [--control-path] [--scheduler]
                 [--cache-dir <path>] [--no-cache] [--json]
-                (network defaults to `headline` = ResNet-34 + SqueezeNet)
+                (network defaults to `headline` = ResNet-34 + SqueezeNet;
+                at most one of --budget-sweep, --grid, --control-path,
+                --scheduler)
   smctl report  [<network>] [--net-file <path>] [--batch <n>] [--policy <name>]
                 [--per-layer] [--seed <n>] [--dram-rate <p>] [--site-rate <p>]
                 [--json]
@@ -456,11 +448,8 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
             let mut json = false;
             let mut dram_rate = 0.01f64;
             let mut retry_budget = None;
-            let mut budget_sweep = false;
-            let mut grid = false;
+            let mut mode: Option<&str> = None;
             let mut site_rates = None;
-            let mut control_path = false;
-            let mut scheduler = false;
             let mut per_layer = false;
             let mut dram_rate_given = false;
             let mut cache_dir = None;
@@ -474,10 +463,14 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
                     "--no-cache" => no_cache = true,
                     "--cache-dir" => cache_dir = Some(take_value(&mut it, flag)?.to_string()),
                     "--net-file" => net_file = Some(take_value(&mut it, flag)?.to_string()),
-                    "--budget-sweep" => budget_sweep = true,
-                    "--grid" => grid = true,
-                    "--control-path" => control_path = true,
-                    "--scheduler" => scheduler = true,
+                    "--budget-sweep" | "--grid" | "--control-path" | "--scheduler" => {
+                        if let Some(other) = mode.filter(|&m| m != flag) {
+                            return Err(CliError(format!(
+                                "{other} and {flag} select different sweeps; pass one"
+                            )));
+                        }
+                        mode = Some(flag);
+                    }
                     "--site-rate" => {
                         let v = take_value(&mut it, flag)?;
                         let rates = v
@@ -565,7 +558,7 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
                     "unknown network {network:?} — run `smctl networks`"
                 )));
             }
-            if cmd == "chaos" && site_rates.is_some() && !grid {
+            if cmd == "chaos" && site_rates.is_some() && mode != Some("--grid") {
                 return Err(CliError("--site-rate requires --grid".into()));
             }
             Ok(match cmd {
@@ -604,14 +597,21 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
                 "chaos" => Command::Chaos {
                     network,
                     batch,
-                    seed,
-                    dram_rate,
-                    retry_budget,
-                    budget_sweep,
-                    grid,
-                    site_rates,
-                    control_path,
-                    scheduler,
+                    kind: match (mode, &site_rates) {
+                        (Some("--grid"), Some(_)) => SweepKind::ChaosGrid3,
+                        (Some("--grid"), None) => SweepKind::ChaosGrid,
+                        (Some("--budget-sweep"), _) => SweepKind::RetryBudget,
+                        (Some("--control-path"), _) => SweepKind::ControlPath,
+                        (Some("--scheduler"), _) => SweepKind::Scheduler,
+                        _ => SweepKind::ChaosCurve,
+                    },
+                    axes: SweepAxes {
+                        seed,
+                        dram_rate,
+                        retry_budget,
+                        site_rates,
+                        ..SweepAxes::default()
+                    },
                     cache_dir,
                     no_cache,
                     net_file,
@@ -671,7 +671,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             let run = exp.run(&net, *policy);
             if *json {
                 let doc = (&base, &run);
-                let body = sm_bench::json::to_json(&doc).map_err(|e| CliError(e.to_string()))?;
+                let body = to_string(&doc).map_err(|e| CliError(e.to_string()))?;
                 let _ = writeln!(out, "{body}");
                 return Ok(out);
             }
@@ -797,26 +797,13 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
         Command::Chaos {
             network,
             batch,
-            seed,
-            dram_rate,
-            retry_budget,
-            budget_sweep,
-            grid,
-            site_rates,
-            control_path,
-            scheduler,
+            kind,
+            axes,
             cache_dir,
             no_cache,
             net_file,
             json,
         } => {
-            use sm_bench::experiments::{
-                chaos_degradation_with_budget_cached, chaos_grid3_cached, chaos_grid_cached,
-                control_path_sweep_cached, retry_budget_sweep_cached, scheduler_sweep_cached,
-                CONTROL_PATH_POLICIES, DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS,
-                DEFAULT_GRID_FRACTIONS, DEFAULT_GRID_RATES, DEFAULT_RETRY_BUDGETS,
-                DEFAULT_SCHEDULER_RATES, SCHEDULER_POLICIES,
-            };
             let nets: Vec<Network> = if let Some(path) = net_file {
                 vec![load_net_file(path)?]
             } else if network == "headline" {
@@ -840,187 +827,35 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 _ => None,
             };
             let session = store.as_ref().map(|s| s.session());
-            let cache = session.as_ref();
-            let finish = |out: &mut String| {
-                if let Some(s) = cache {
-                    if !*json {
-                        let st = s.stats();
-                        let _ = writeln!(
-                            out,
-                            "result cache: {} hits, {} misses, {} evictions, \
-                             {} B read, {} B written",
-                            st.hits, st.misses, st.evictions, st.bytes_read, st.bytes_written
-                        );
-                    }
-                }
+            let ctx = RunCtx {
+                cache: session.as_ref(),
+                cancel: None,
             };
-            if *scheduler {
-                let studies: Vec<_> = nets
-                    .iter()
-                    .map(|net| {
-                        scheduler_sweep_cached(
-                            net,
-                            AccelConfig::default(),
-                            *seed,
-                            &SCHEDULER_POLICIES,
-                            &DEFAULT_SCHEDULER_RATES,
-                            *retry_budget,
-                            cache,
-                            |_, _, _| {},
-                        )
-                    })
-                    .collect();
-                if *json {
-                    let body =
-                        sm_bench::json::to_json(&studies).map_err(|e| CliError(e.to_string()))?;
-                    let _ = writeln!(out, "{body}");
-                } else {
-                    for study in &studies {
-                        let _ = writeln!(out, "{}", study.table().render());
-                    }
-                }
-                finish(&mut out);
-                return Ok(out);
-            }
-            if *control_path {
-                let studies: Vec<_> = nets
-                    .iter()
-                    .map(|net| {
-                        control_path_sweep_cached(
-                            net,
-                            AccelConfig::default(),
-                            *seed,
-                            &CONTROL_PATH_POLICIES,
-                            &DEFAULT_CONTROL_PATH_RATES,
-                            *retry_budget,
-                            cache,
-                            |_, _, _| {},
-                        )
-                    })
-                    .collect();
-                if *json {
-                    let body =
-                        sm_bench::json::to_json(&studies).map_err(|e| CliError(e.to_string()))?;
-                    let _ = writeln!(out, "{body}");
-                } else {
-                    for study in &studies {
-                        let _ = writeln!(out, "{}", study.table().render());
-                    }
-                }
-                finish(&mut out);
-                return Ok(out);
-            }
-            if let (true, Some(sites)) = (*grid, site_rates.as_deref()) {
-                let grids: Vec<_> = nets
-                    .iter()
-                    .map(|net| {
-                        chaos_grid3_cached(
-                            net,
-                            AccelConfig::default(),
-                            *seed,
-                            &DEFAULT_GRID_FRACTIONS,
-                            &DEFAULT_GRID_RATES,
-                            sites,
-                            *retry_budget,
-                            cache,
-                            |_, _, _| {},
-                        )
-                    })
-                    .collect();
-                if *json {
-                    let body =
-                        sm_bench::json::to_json(&grids).map_err(|e| CliError(e.to_string()))?;
-                    let _ = writeln!(out, "{body}");
-                } else {
-                    for g in &grids {
-                        for t in g.tables() {
-                            let _ = writeln!(out, "{}", t.render());
-                        }
-                    }
-                }
-                finish(&mut out);
-                return Ok(out);
-            }
-            if *grid {
-                let grids: Vec<_> = nets
-                    .iter()
-                    .map(|net| {
-                        chaos_grid_cached(
-                            net,
-                            AccelConfig::default(),
-                            *seed,
-                            &DEFAULT_GRID_FRACTIONS,
-                            &DEFAULT_GRID_RATES,
-                            *retry_budget,
-                            cache,
-                            |_, _, _| {},
-                        )
-                    })
-                    .collect();
-                if *json {
-                    let body =
-                        sm_bench::json::to_json(&grids).map_err(|e| CliError(e.to_string()))?;
-                    let _ = writeln!(out, "{body}");
-                } else {
-                    for g in &grids {
-                        let _ = writeln!(out, "{}", g.table().render());
-                    }
-                }
-                finish(&mut out);
-                return Ok(out);
-            }
-            if *budget_sweep {
-                let studies: Vec<_> = nets
-                    .iter()
-                    .map(|net| {
-                        retry_budget_sweep_cached(
-                            net,
-                            AccelConfig::default(),
-                            *seed,
-                            *dram_rate,
-                            &DEFAULT_RETRY_BUDGETS,
-                            cache,
-                            |_, _, _| {},
-                        )
-                    })
-                    .collect();
-                if *json {
-                    let body =
-                        sm_bench::json::to_json(&studies).map_err(|e| CliError(e.to_string()))?;
-                    let _ = writeln!(out, "{body}");
-                } else {
-                    for study in &studies {
-                        let _ = writeln!(out, "{}", study.table().render());
-                    }
-                }
-                finish(&mut out);
-                return Ok(out);
-            }
-            let curves: Vec<_> = nets
-                .iter()
+            let outputs = nets
+                .into_iter()
                 .map(|net| {
-                    chaos_degradation_with_budget_cached(
-                        net,
-                        AccelConfig::default(),
-                        *seed,
-                        &DEFAULT_FRACTIONS,
-                        *dram_rate,
-                        *retry_budget,
-                        cache,
-                        |_, _, _| {},
-                    )
+                    let net = KeyedNet::new(net);
+                    kind.run(&net, AccelConfig::default(), axes, &ctx, &mut ())
+                        .expect("a sweep without a cancel check cannot be cancelled")
                 })
-                .collect();
+                .collect::<Vec<_>>();
             if *json {
-                let body = sm_bench::json::to_json(&curves).map_err(|e| CliError(e.to_string()))?;
+                let body = to_string(&outputs).map_err(|e| CliError(e.to_string()))?;
                 let _ = writeln!(out, "{body}");
-                finish(&mut out);
                 return Ok(out);
             }
-            for curve in &curves {
-                let _ = writeln!(out, "{}", curve.table().render());
+            for table in outputs.iter().flat_map(|o| o.tables()) {
+                let _ = writeln!(out, "{}", table.render());
             }
-            finish(&mut out);
+            if let Some(s) = &session {
+                let st = s.stats();
+                let _ = writeln!(
+                    out,
+                    "result cache: {} hits, {} misses, {} evictions, \
+                     {} B read, {} B written",
+                    st.hits, st.misses, st.evictions, st.bytes_read, st.bytes_written
+                );
+            }
         }
         Command::Report {
             network,
@@ -1068,9 +903,9 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             };
             if *json {
                 let body = if *per_layer {
-                    sm_bench::json::to_json(&stats.layers).map_err(|e| CliError(e.to_string()))?
+                    to_string(&stats.layers).map_err(|e| CliError(e.to_string()))?
                 } else {
-                    sm_bench::json::to_json(&stats).map_err(|e| CliError(e.to_string()))?
+                    to_string(&stats).map_err(|e| CliError(e.to_string()))?
                 };
                 let _ = writeln!(out, "{body}");
                 return Ok(out);
@@ -1171,7 +1006,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
         } => {
             let threads = sm_core::parallel::threads().max(2);
             let report = sm_bench::timing::run_bench(threads);
-            let body = sm_bench::json::to_json(&report).map_err(|e| CliError(e.to_string()))?;
+            let body = to_string(&report).map_err(|e| CliError(e.to_string()))?;
             std::fs::write(path, body.as_bytes())
                 .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
             let _ = write!(out, "{}", report.summary());
@@ -1353,14 +1188,14 @@ mod tests {
             Command::Chaos {
                 network: "toy_residual".into(),
                 batch: 1,
-                seed: 7,
-                dram_rate: 0.05,
-                retry_budget: None,
-                budget_sweep: false,
-                grid: false,
-                site_rates: None,
-                control_path: false,
-                scheduler: false,
+                kind: SweepKind::ChaosCurve,
+                axes: SweepAxes {
+                    seed: 7,
+                    dram_rate: 0.05,
+                    retry_budget: None,
+                    site_rates: None,
+                    ..SweepAxes::default()
+                },
                 cache_dir: None,
                 no_cache: false,
                 net_file: None,
@@ -1397,13 +1232,9 @@ mod tests {
         ])
         .unwrap();
         match &cmd {
-            Command::Chaos {
-                retry_budget,
-                budget_sweep,
-                ..
-            } => {
-                assert_eq!(*retry_budget, Some(5));
-                assert!(budget_sweep);
+            Command::Chaos { kind, axes, .. } => {
+                assert_eq!(axes.retry_budget, Some(5));
+                assert_eq!(*kind, SweepKind::RetryBudget);
             }
             other => panic!("parsed {other:?}"),
         }
@@ -1416,7 +1247,7 @@ mod tests {
     fn chaos_grid_parses_runs_and_emits_json() {
         let cmd = parse(["chaos", "toy_residual", "--grid", "--dram-rate", "0.2"]).unwrap();
         match &cmd {
-            Command::Chaos { grid, .. } => assert!(grid),
+            Command::Chaos { kind, .. } => assert_eq!(*kind, SweepKind::ChaosGrid),
             other => panic!("parsed {other:?}"),
         }
         let out = execute(&cmd).unwrap();
@@ -1433,11 +1264,9 @@ mod tests {
     fn chaos_grid3_parses_runs_and_emits_json() {
         let cmd = parse(["chaos", "toy_residual", "--grid", "--site-rate", "0.0,0.5"]).unwrap();
         match &cmd {
-            Command::Chaos {
-                grid, site_rates, ..
-            } => {
-                assert!(grid);
-                assert_eq!(site_rates.as_deref(), Some(&[0.0, 0.5][..]));
+            Command::Chaos { kind, axes, .. } => {
+                assert_eq!(*kind, SweepKind::ChaosGrid3);
+                assert_eq!(axes.site_rates.as_deref(), Some(&[0.0, 0.5][..]));
             }
             other => panic!("parsed {other:?}"),
         }
@@ -1468,13 +1297,9 @@ mod tests {
         // A flag right after `chaos` (or nothing at all) defaults the
         // network to the headline pair.
         match parse(["chaos", "--control-path"]).unwrap() {
-            Command::Chaos {
-                network,
-                control_path,
-                ..
-            } => {
+            Command::Chaos { network, kind, .. } => {
                 assert_eq!(network, "headline");
-                assert!(control_path);
+                assert_eq!(kind, SweepKind::ControlPath);
             }
             other => panic!("parsed {other:?}"),
         }
@@ -1503,11 +1328,9 @@ mod tests {
         // A flag right after `chaos` defaults the network to the headline
         // pair, same as --control-path.
         match parse(["chaos", "--scheduler"]).unwrap() {
-            Command::Chaos {
-                network, scheduler, ..
-            } => {
+            Command::Chaos { network, kind, .. } => {
                 assert_eq!(network, "headline");
-                assert!(scheduler);
+                assert_eq!(kind, SweepKind::Scheduler);
             }
             other => panic!("parsed {other:?}"),
         }
@@ -1523,6 +1346,46 @@ mod tests {
             execute(&parse(["chaos", "toy_residual", "--scheduler", "--json"]).unwrap()).unwrap();
         assert!(json_out.contains(r#""recovered_rollback":"#));
         assert!(json_out.contains(r#""scheduler_fault_rate":"#));
+    }
+
+    #[test]
+    fn conflicting_chaos_modes_are_rejected() {
+        // Two mode flags used to run whichever one `execute` checked first
+        // and exit 0; the kind is now chosen once, at parse time.
+        for (a, b) in [
+            ("--grid", "--scheduler"),
+            ("--budget-sweep", "--control-path"),
+            ("--scheduler", "--budget-sweep"),
+            ("--control-path", "--grid"),
+        ] {
+            let err = parse(["chaos", "toy_residual", a, b]).unwrap_err();
+            assert!(err.0.contains(a) && err.0.contains(b), "{err}");
+        }
+        // Repeating one mode is no conflict, and --site-rate still turns
+        // the grid into the 3-D volume.
+        assert!(matches!(
+            parse(["chaos", "toy_residual", "--grid", "--grid"]).unwrap(),
+            Command::Chaos {
+                kind: SweepKind::ChaosGrid,
+                ..
+            }
+        ));
+        assert!(matches!(
+            parse([
+                "chaos",
+                "--grid",
+                "--site-rate",
+                "0.1",
+                "--retry-budget",
+                "8"
+            ])
+            .unwrap(),
+            Command::Chaos {
+                kind: SweepKind::ChaosGrid3,
+                ..
+            }
+        ));
+        assert!(parse(["chaos", "toy_residual", "--scheduler", "--site-rate", "0.1"]).is_err());
     }
 
     #[test]

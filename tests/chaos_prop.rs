@@ -10,6 +10,9 @@ use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 
 use shortcut_mining::accel::AccelConfig;
+use shortcut_mining::bench::cas::{KeyedNet, RunCtx};
+use shortcut_mining::bench::experiments::{chaos_degradation, ChaosCurve, DEFAULT_FRACTIONS};
+use shortcut_mining::bench::sweep::SweepAxes;
 use shortcut_mining::core::functional::verify_value_preservation_with;
 use shortcut_mining::core::{Experiment, FaultPlan, Policy, SimError, SimOptions};
 use shortcut_mining::model::{zoo, Network};
@@ -21,6 +24,26 @@ fn tiny_nets() -> Vec<Network> {
         zoo::squeezenet_tiny(1),
         zoo::densenet_tiny(3, 1),
     ]
+}
+
+/// The default bank-failure curve of `net` at DRAM fault rate 0.05, run
+/// without a cache.
+fn curve(net: &Network, seed: u64) -> ChaosCurve {
+    let axes = SweepAxes {
+        seed,
+        dram_rate: 0.05,
+        fractions: Some(DEFAULT_FRACTIONS.to_vec()),
+        ..SweepAxes::default()
+    };
+    let net = KeyedNet::new(net.clone());
+    chaos_degradation(
+        &net,
+        AccelConfig::default(),
+        &axes,
+        &RunCtx::default(),
+        &mut (),
+    )
+    .expect("no cancel check")
 }
 
 fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
@@ -130,7 +153,7 @@ fn fault_injection_is_deterministic() {
             Policy::shortcut_mining(),
             &SimOptions::with_faults(plan.clone()),
         )
-        .map(|r| sm_bench::json::to_json(&r.stats).expect("serializable stats"))
+        .map(|r| serde::json::to_string(&r.stats).expect("serializable stats"))
     };
     let a = run(&plan);
     let b = run(&plan);
@@ -155,13 +178,7 @@ fn nightly_midsize_networks_degrade_gracefully() {
         return;
     }
     for net in [zoo::resnet18(1), zoo::vgg16(1)] {
-        let curve = sm_bench::experiments::chaos_degradation(
-            &net,
-            AccelConfig::default(),
-            17,
-            &sm_bench::experiments::DEFAULT_FRACTIONS,
-            0.05,
-        );
+        let curve = curve(&net, 17);
         let clean_fm = Experiment::default_config()
             .run(&net, Policy::shortcut_mining())
             .fm_traffic_bytes();
@@ -198,13 +215,7 @@ fn nightly_midsize_networks_degrade_gracefully() {
 #[test]
 fn degradation_sweep_never_underreports() {
     let net = zoo::squeezenet_tiny(1);
-    let curve = sm_bench::experiments::chaos_degradation(
-        &net,
-        AccelConfig::default(),
-        11,
-        &sm_bench::experiments::DEFAULT_FRACTIONS,
-        0.05,
-    );
+    let curve = curve(&net, 11);
     let clean_fm = Experiment::default_config()
         .run(&net, Policy::shortcut_mining())
         .fm_traffic_bytes();

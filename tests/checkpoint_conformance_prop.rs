@@ -21,13 +21,13 @@
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 
+use serde::json::to_string;
 use shortcut_mining::core::{
     parallel, Experiment, FaultPlan, Policy, Protection, RecoveryAction, RecoveryBudget,
     RecoveryPolicy, SimOptions, TraceEvent,
 };
 use shortcut_mining::mem::TrafficClass;
 use shortcut_mining::model::{zoo, Network};
-use sm_bench::json::to_json;
 
 fn tiny_nets() -> Vec<Network> {
     vec![
@@ -90,8 +90,8 @@ proptest! {
             .run_checked(net, Policy::shortcut_mining(), &SimOptions::with_faults(plan.clone()))
             .expect("zero-rate runs never abort");
         prop_assert_eq!(
-            to_json(&run.stats).expect("stats serialize"),
-            to_json(&clean.stats).expect("stats serialize"),
+            to_string(&run.stats).expect("stats serialize"),
+            to_string(&clean.stats).expect("stats serialize"),
             "checkpointing alone perturbed the stats under {:?}",
             &plan
         );
@@ -165,8 +165,8 @@ proptest! {
             .run_checked(net, Policy::shortcut_mining(), &options)
             .expect("checkpoint runs survive");
         prop_assert_eq!(
-            to_json(&a.stats).expect("stats serialize"),
-            to_json(&b.stats).expect("stats serialize")
+            to_string(&a.stats).expect("stats serialize"),
+            to_string(&b.stats).expect("stats serialize")
         );
     }
 }
@@ -242,14 +242,16 @@ fn budget_exhaustion_escalates_monotonically() {
 #[test]
 fn scheduler_sweep_is_thread_count_invariant() {
     use shortcut_mining::accel::AccelConfig;
-    use sm_bench::experiments::{scheduler_sweep, DEFAULT_SCHEDULER_RATES, SCHEDULER_POLICIES};
+    use sm_bench::cas::{KeyedNet, RunCtx};
+    use sm_bench::experiments::{scheduler_sweep, DEFAULT_SCHEDULER_RATES};
+    use sm_bench::sweep::SweepAxes;
 
     let net = zoo::resnet_tiny(2, 1);
     let exp = Experiment::default_config();
     let clean = exp
         .run_checked(&net, Policy::shortcut_mining(), &SimOptions::checked())
         .expect("fault-free run");
-    let clean_json = to_json(&clean.stats).expect("stats serialize");
+    let clean_json = to_string(&clean.stats).expect("stats serialize");
 
     let mut sweeps = Vec::new();
     for threads in [1usize, 4] {
@@ -265,23 +267,31 @@ fn scheduler_sweep_is_thread_count_invariant() {
             )
             .expect("zero-rate run");
         assert_eq!(
-            to_json(&run.stats).expect("stats serialize"),
+            to_string(&run.stats).expect("stats serialize"),
             clean_json,
             "zero-fault identity broke at {threads} thread(s)"
         );
-        sweeps.push(scheduler_sweep(
-            &net,
-            AccelConfig::default(),
-            42,
-            &SCHEDULER_POLICIES,
-            &DEFAULT_SCHEDULER_RATES,
-            None,
-        ));
+        let axes = SweepAxes {
+            seed: 42,
+            rates: Some(DEFAULT_SCHEDULER_RATES.to_vec()),
+            ..SweepAxes::default()
+        };
+        let keyed = KeyedNet::new(net.clone());
+        sweeps.push(
+            scheduler_sweep(
+                &keyed,
+                AccelConfig::default(),
+                &axes,
+                &RunCtx::default(),
+                &mut (),
+            )
+            .unwrap(),
+        );
     }
     parallel::set_threads(None);
     assert_eq!(
-        to_json(&sweeps[0]).expect("study serializes"),
-        to_json(&sweeps[1]).expect("study serializes"),
+        to_string(&sweeps[0]).expect("study serializes"),
+        to_string(&sweeps[1]).expect("study serializes"),
         "scheduler sweep diverged between 1 and 4 threads"
     );
 }

@@ -2,18 +2,18 @@
 //! written by `to_json` must read back equal via `from_json`, including
 //! non-default values, so experiment configs can be stored and replayed.
 
+use serde::json::{from_str, to_string};
 use shortcut_mining::accel::{AccelConfig, SramPlan};
 use shortcut_mining::buffer::BankPoolConfig;
 use shortcut_mining::core::{AllocPriority, FaultPlan, Policy, Protection, SpillOrder};
 use shortcut_mining::mem::DramConfig;
-use sm_bench::json::{from_json, to_json};
 
 fn roundtrip<T>(value: &T) -> T
 where
     T: serde::Serialize + serde::de::Deserialize + PartialEq + std::fmt::Debug,
 {
-    let json = to_json(value).unwrap_or_else(|e| panic!("serialize: {e}"));
-    from_json(&json).unwrap_or_else(|e| panic!("deserialize {json}: {e}"))
+    let json = to_string(value).unwrap_or_else(|e| panic!("serialize: {e}"));
+    from_str(&json).unwrap_or_else(|e| panic!("deserialize {json}: {e}"))
 }
 
 #[test]
@@ -71,24 +71,24 @@ fn every_policy_roundtrips() {
 
 #[test]
 fn policy_enums_roundtrip_as_variant_names() {
-    let json = to_json(&SpillOrder::NearestJunctionFirst).unwrap();
+    let json = to_string(&SpillOrder::NearestJunctionFirst).unwrap();
     assert_eq!(json, r#""NearestJunctionFirst""#);
     assert_eq!(
-        from_json::<SpillOrder>(&json).unwrap(),
+        from_str::<SpillOrder>(&json).unwrap(),
         SpillOrder::NearestJunctionFirst
     );
     assert_eq!(
-        from_json::<AllocPriority>(r#""OutputFirst""#).unwrap(),
+        from_str::<AllocPriority>(r#""OutputFirst""#).unwrap(),
         AllocPriority::OutputFirst
     );
-    assert!(from_json::<AllocPriority>(r#""Nonsense""#).is_err());
+    assert!(from_str::<AllocPriority>(r#""Nonsense""#).is_err());
 }
 
 #[test]
 fn mismatched_shapes_error_instead_of_defaulting() {
-    assert!(from_json::<AccelConfig>(r#"{"pe_rows":64}"#).is_err());
-    assert!(from_json::<DramConfig>("[1,2,3]").is_err());
-    assert!(from_json::<Policy>("null").is_err());
+    assert!(from_str::<AccelConfig>(r#"{"pe_rows":64}"#).is_err());
+    assert!(from_str::<DramConfig>("[1,2,3]").is_err());
+    assert!(from_str::<Policy>("null").is_err());
 }
 
 #[test]
@@ -116,16 +116,16 @@ fn serde_rename_controls_the_wire_key_and_roundtrips() {
         local_name: 7,
         optional_local: 0.5,
     };
-    let json = to_json(&value).unwrap();
+    let json = to_string(&value).unwrap();
     assert!(json.contains(r#""wire_name":7"#), "{json}");
     assert!(json.contains(r#""optional_wire":0.5"#), "{json}");
     assert!(!json.contains("local_name"), "{json}");
     assert_eq!(roundtrip(&value), value);
     // The renamed key is the only accepted spelling; the Rust name errors.
-    assert!(from_json::<Renamed>(r#"{"local_name":7}"#).is_err());
+    assert!(from_str::<Renamed>(r#"{"local_name":7}"#).is_err());
     // A renamed `default` field may still be absent.
     assert_eq!(
-        from_json::<Renamed>(r#"{"wire_name":7}"#).unwrap(),
+        from_str::<Renamed>(r#"{"wire_name":7}"#).unwrap(),
         Renamed {
             local_name: 7,
             optional_local: 0.0,
@@ -142,7 +142,7 @@ fn fault_plan_roundtrips_with_control_path_fields() {
         .with_recovery(RecoveryPolicy::RecomputeLayer);
     assert_eq!(roundtrip(&plan), plan);
     // The width/recovery fields serialize under their renamed wire keys.
-    let json = to_json(&plan).unwrap();
+    let json = to_string(&plan).unwrap();
     assert!(json.contains(r#""multi_bit_double_rate":0.4"#), "{json}");
     assert!(json.contains(r#""multi_bit_triple_rate":0.1"#), "{json}");
     assert!(
@@ -170,7 +170,7 @@ fn pre_control_path_fault_plan_json_still_loads() {
         "pe_fault_rate": 0.1,
         "pe_protection": "Parity"
     }"#;
-    let plan: FaultPlan = from_json(json).unwrap_or_else(|e| panic!("old plan: {e}"));
+    let plan: FaultPlan = from_str(json).unwrap_or_else(|e| panic!("old plan: {e}"));
     assert_eq!(plan.seed, 9);
     assert_eq!(plan.weight_protection, Protection::Ecc);
     assert_eq!(plan.bcu_fault_rate, 0.0);
@@ -188,7 +188,7 @@ fn pre_control_path_fault_plan_json_still_loads() {
         "corruption_rate": 0.0,
         "recovery_policy": "RollbackEpoch"
     }"#;
-    assert!(from_json::<FaultPlan>(bad).is_err());
+    assert!(from_str::<FaultPlan>(bad).is_err());
 }
 
 #[test]
@@ -204,7 +204,7 @@ fn pre_site_fault_plan_json_still_loads() {
         "retry_stall_cycles": 128,
         "corruption_rate": 0.05
     }"#;
-    let plan: FaultPlan = from_json(json).unwrap_or_else(|e| panic!("old plan: {e}"));
+    let plan: FaultPlan = from_str(json).unwrap_or_else(|e| panic!("old plan: {e}"));
     assert_eq!(plan.seed, 42);
     assert_eq!(plan.max_retries, 5);
     assert_eq!(plan.weight_fault_rate, 0.0);
@@ -222,7 +222,7 @@ fn pre_site_fault_plan_json_still_loads() {
         "corruption_rate": 0.0,
         "weight_protection": "Hamming"
     }"#;
-    assert!(from_json::<FaultPlan>(bad).is_err());
+    assert!(from_str::<FaultPlan>(bad).is_err());
     // And the original fields are still mandatory.
-    assert!(from_json::<FaultPlan>(r#"{"seed": 1}"#).is_err());
+    assert!(from_str::<FaultPlan>(r#"{"seed": 1}"#).is_err());
 }

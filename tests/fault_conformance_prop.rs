@@ -15,12 +15,12 @@
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 
+use serde::json::to_string;
 use shortcut_mining::accel::AccelConfig;
 use shortcut_mining::core::functional::verify_value_preservation_with;
 use shortcut_mining::core::{Experiment, FaultPlan, Policy, Protection, SimOptions};
 use shortcut_mining::mem::TrafficClass;
 use shortcut_mining::model::{zoo, Network};
-use sm_bench::json::to_json;
 
 fn tiny_nets() -> Vec<Network> {
     vec![
@@ -56,8 +56,8 @@ proptest! {
         let run = exp
             .run_checked(net, Policy::shortcut_mining(), &SimOptions::with_faults(plan.clone()))
             .expect("ECC runs never abort");
-        let clean_ledger = to_json(&clean.stats.ledger).expect("ledger serializes");
-        let ecc_ledger = to_json(&run.stats.ledger).expect("ledger serializes");
+        let clean_ledger = to_string(&clean.stats.ledger).expect("ledger serializes");
+        let ecc_ledger = to_string(&run.stats.ledger).expect("ledger serializes");
         prop_assert_eq!(
             clean_ledger,
             ecc_ledger,
@@ -221,8 +221,8 @@ fn nightly_midsize_site_fault_conformance() {
         )
         .expect("ECC run");
     assert_eq!(
-        to_json(&clean.stats.ledger).unwrap(),
-        to_json(&run.stats.ledger).unwrap()
+        to_string(&clean.stats.ledger).unwrap(),
+        to_string(&run.stats.ledger).unwrap()
     );
     let mut prev = 0u64;
     for rate in [0.0, 0.5, 1.0] {

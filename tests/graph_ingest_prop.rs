@@ -94,8 +94,8 @@ proptest! {
         let cfg = AccelConfig::default().with_fm_capacity(pool_kib * 1024);
         let policy = if mine == 1 { Policy::shortcut_mining() } else { Policy::swap_only() };
         let exp = Experiment::new(cfg);
-        let a = sm_bench::json::to_json(&exp.run(net, policy)).expect("serializable");
-        let b = sm_bench::json::to_json(&exp.run(&back, policy)).expect("serializable");
+        let a = serde::json::to_string(&exp.run(net, policy)).expect("serializable");
+        let b = serde::json::to_string(&exp.run(&back, policy)).expect("serializable");
         prop_assert_eq!(a, b, "ingested copy diverged under {:?}", cfg);
     }
 

@@ -6,14 +6,16 @@
 //! function owns the whole comparison because the thread count is a
 //! process-global setting.
 
+use serde::json::to_string;
 use shortcut_mining::accel::AccelConfig;
+use shortcut_mining::bench::cas::{KeyedNet, RunCtx};
 use shortcut_mining::bench::experiments::{
     chaos_degradation, chaos_grid, chaos_grid3, control_path_sweep, fig10_traffic_reduction,
     fig11_traffic_breakdown, fig13_throughput, fig14_capacity_sweep, fig15_batch_sweep,
-    retry_budget_sweep, CONTROL_PATH_POLICIES, DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS,
-    DEFAULT_GRID_FRACTIONS, DEFAULT_GRID_RATES, DEFAULT_GRID_SITE_RATES, DEFAULT_RETRY_BUDGETS,
+    retry_budget_sweep, DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS, DEFAULT_GRID_FRACTIONS,
+    DEFAULT_GRID_RATES, DEFAULT_GRID_SITE_RATES, DEFAULT_RETRY_BUDGETS,
 };
-use shortcut_mining::bench::json::to_json;
+use shortcut_mining::bench::sweep::SweepAxes;
 use shortcut_mining::core::parallel::set_threads;
 use shortcut_mining::model::zoo;
 
@@ -27,45 +29,44 @@ fn render_all() -> String {
     out.push_str(&fig13_throughput(cfg, 1).table.render());
     out.push_str(&fig14_capacity_sweep(cfg, 1).table.render());
     out.push_str(&fig15_batch_sweep(cfg).table.render());
-    let curve = chaos_degradation(&net, cfg, 9, &DEFAULT_FRACTIONS, 0.05);
+    let keyed = KeyedNet::new(net.clone());
+    let plain = RunCtx::default();
+    let curve_axes = SweepAxes {
+        seed: 9,
+        dram_rate: 0.05,
+        fractions: Some(DEFAULT_FRACTIONS.to_vec()),
+        ..SweepAxes::default()
+    };
+    let curve = chaos_degradation(&keyed, cfg, &curve_axes, &plain, &mut ()).unwrap();
     out.push_str(&curve.table().render());
-    out.push_str(&to_json(&curve).expect("curve serializes"));
+    out.push_str(&to_string(&curve).expect("curve serializes"));
     let study = retry_budget_sweep(&net, cfg, 9, 0.2, &DEFAULT_RETRY_BUDGETS);
     out.push_str(&study.table().render());
-    out.push_str(&to_json(&study).expect("study serializes"));
-    let grid = chaos_grid(
-        &net,
-        cfg,
-        9,
-        &DEFAULT_GRID_FRACTIONS,
-        &DEFAULT_GRID_RATES,
-        Some(8),
-    );
+    out.push_str(&to_string(&study).expect("study serializes"));
+    let grid_axes = SweepAxes {
+        seed: 9,
+        retry_budget: Some(8),
+        fractions: Some(DEFAULT_GRID_FRACTIONS.to_vec()),
+        rates: Some(DEFAULT_GRID_RATES.to_vec()),
+        site_rates: Some(DEFAULT_GRID_SITE_RATES.to_vec()),
+        ..SweepAxes::default()
+    };
+    let grid = chaos_grid(&keyed, cfg, &grid_axes, &plain, &mut ()).unwrap();
     out.push_str(&grid.table().render());
-    out.push_str(&to_json(&grid).expect("grid serializes"));
-    let grid3 = chaos_grid3(
-        &net,
-        cfg,
-        9,
-        &DEFAULT_GRID_FRACTIONS,
-        &DEFAULT_GRID_RATES,
-        &DEFAULT_GRID_SITE_RATES,
-        Some(8),
-    );
+    out.push_str(&to_string(&grid).expect("grid serializes"));
+    let grid3 = chaos_grid3(&keyed, cfg, &grid_axes, &plain, &mut ()).unwrap();
     for t in grid3.tables() {
         out.push_str(&t.render());
     }
-    out.push_str(&to_json(&grid3).expect("grid3 serializes"));
-    let control = control_path_sweep(
-        &net,
-        cfg,
-        9,
-        &CONTROL_PATH_POLICIES,
-        &DEFAULT_CONTROL_PATH_RATES,
-        None,
-    );
+    out.push_str(&to_string(&grid3).expect("grid3 serializes"));
+    let control_axes = SweepAxes {
+        seed: 9,
+        rates: Some(DEFAULT_CONTROL_PATH_RATES.to_vec()),
+        ..SweepAxes::default()
+    };
+    let control = control_path_sweep(&keyed, cfg, &control_axes, &plain, &mut ()).unwrap();
     out.push_str(&control.table().render());
-    out.push_str(&to_json(&control).expect("control-path study serializes"));
+    out.push_str(&to_string(&control).expect("control-path study serializes"));
     out
 }
 

@@ -20,6 +20,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 
+use serde::json::to_string;
 use shortcut_mining::accel::AccelConfig;
 use shortcut_mining::core::functional::verify_value_preservation_with;
 use shortcut_mining::core::{
@@ -28,7 +29,6 @@ use shortcut_mining::core::{
 };
 use shortcut_mining::mem::TrafficClass;
 use shortcut_mining::model::{zoo, Network};
-use sm_bench::json::to_json;
 
 fn tiny_nets() -> Vec<Network> {
     vec![
@@ -179,8 +179,8 @@ proptest! {
             .run_checked(net, Policy::shortcut_mining(), &SimOptions::with_faults(plan.clone()))
             .expect("CE-only runs never abort");
         prop_assert_eq!(
-            to_json(&clean.stats.ledger).expect("ledger serializes"),
-            to_json(&run.stats.ledger).expect("ledger serializes"),
+            to_string(&clean.stats.ledger).expect("ledger serializes"),
+            to_string(&run.stats.ledger).expect("ledger serializes"),
             "a corrected strike changed the ledger under {:?}",
             &plan
         );

@@ -18,11 +18,12 @@
 use std::fs;
 use std::path::PathBuf;
 
+use serde::json::to_string;
 use shortcut_mining::accel::AccelConfig;
-use shortcut_mining::bench::cas::{cell_key, ResultCache};
-use shortcut_mining::bench::experiments::{chaos_grid, chaos_grid_cached};
-use shortcut_mining::bench::json::to_json;
+use shortcut_mining::bench::cas::{cell_key, CacheSession, KeyedNet, ResultCache, RunCtx};
+use shortcut_mining::bench::experiments::{chaos_grid, ChaosGrid};
 use shortcut_mining::bench::service::{run_serve, ServeOptions};
+use shortcut_mining::bench::sweep::SweepAxes;
 use shortcut_mining::core::parallel::set_threads;
 use shortcut_mining::core::{FaultPlan, Policy};
 use shortcut_mining::model::zoo;
@@ -41,6 +42,28 @@ struct KeyInputs {
     config: AccelConfig,
     policy: Policy,
     plan: FaultPlan,
+}
+
+/// The seed-7, budget-8 chaos grid over `fractions` × `rates`, read from
+/// and written to `session` when one is given.
+fn grid(
+    net: &KeyedNet,
+    fractions: &[f64],
+    rates: &[f64],
+    session: Option<&CacheSession<'_>>,
+) -> ChaosGrid {
+    let axes = SweepAxes {
+        seed: 7,
+        retry_budget: Some(8),
+        fractions: Some(fractions.to_vec()),
+        rates: Some(rates.to_vec()),
+        ..SweepAxes::default()
+    };
+    let ctx = RunCtx {
+        cache: session,
+        cancel: None,
+    };
+    chaos_grid(net, AccelConfig::default(), &axes, &ctx, &mut ()).unwrap()
 }
 
 fn inputs() -> KeyInputs {
@@ -104,8 +127,7 @@ fn any_single_differing_field_changes_the_key() {
 /// 90%-overlap delta dispatch, and corruption recovery.
 #[test]
 fn warm_runs_are_byte_identical_and_delta_dispatch_only_misses() {
-    let net = zoo::toy_residual(1);
-    let cfg = AccelConfig::default();
+    let net = KeyedNet::new(zoo::toy_residual(1));
     let fractions = [0.0, 0.1, 0.3, 0.5, 0.7];
     let rates = [0.0, 0.05];
     let dir = tmp_dir("warm");
@@ -113,18 +135,9 @@ fn warm_runs_are_byte_identical_and_delta_dispatch_only_misses() {
 
     let run = |cache: Option<&ResultCache>| {
         let session = cache.map(|c| c.session());
-        let grid = chaos_grid_cached(
-            &net,
-            cfg,
-            7,
-            &fractions,
-            &rates,
-            Some(8),
-            session.as_ref(),
-            |_, _, _| {},
-        );
+        let grid = grid(&net, &fractions, &rates, session.as_ref());
         let stats = session.map(|s| s.stats());
-        (to_json(&grid).unwrap(), stats)
+        (to_string(&grid).unwrap(), stats)
     };
 
     for threads in [1usize, 4] {
@@ -147,16 +160,7 @@ fn warm_runs_are_byte_identical_and_delta_dispatch_only_misses() {
     set_threads(Some(4));
     let grown = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9];
     let session = store.session();
-    let grid = chaos_grid_cached(
-        &net,
-        cfg,
-        7,
-        &grown,
-        &rates,
-        Some(8),
-        Some(&session),
-        |_, _, _| {},
-    );
+    let grown_grid = grid(&net, &grown, &rates, Some(&session));
     let stats = session.stats();
     assert_eq!(
         stats.misses, 2,
@@ -164,8 +168,8 @@ fn warm_runs_are_byte_identical_and_delta_dispatch_only_misses() {
     );
     assert_eq!(stats.hits, 10);
     // The delta-run grid matches a from-scratch run of the grown grid.
-    let fresh = chaos_grid(&net, cfg, 7, &grown, &rates, Some(8));
-    assert_eq!(to_json(&grid).unwrap(), to_json(&fresh).unwrap());
+    let fresh = grid(&net, &grown, &rates, None);
+    assert_eq!(to_string(&grown_grid).unwrap(), to_string(&fresh).unwrap());
 
     // Corruption: truncate one entry, bit-flip another. Both are rejected,
     // evicted, recomputed, and the output stays byte-identical.
@@ -186,18 +190,9 @@ fn warm_runs_are_byte_identical_and_delta_dispatch_only_misses() {
     fs::write(flipped, bytes).unwrap();
 
     let session = store.session();
-    let regrown = chaos_grid_cached(
-        &net,
-        cfg,
-        7,
-        &grown,
-        &rates,
-        Some(8),
-        Some(&session),
-        |_, _, _| {},
-    );
+    let regrown = grid(&net, &grown, &rates, Some(&session));
     let stats = session.stats();
-    assert_eq!(to_json(&regrown).unwrap(), to_json(&fresh).unwrap());
+    assert_eq!(to_string(&regrown).unwrap(), to_string(&fresh).unwrap());
     assert_eq!(
         stats.evictions, 2,
         "both corrupt entries evicted: {stats:?}"
@@ -207,16 +202,7 @@ fn warm_runs_are_byte_identical_and_delta_dispatch_only_misses() {
 
     // The evicted entries were rewritten: a final pass is all hits again.
     let session = store.session();
-    chaos_grid_cached(
-        &net,
-        cfg,
-        7,
-        &grown,
-        &rates,
-        Some(8),
-        Some(&session),
-        |_, _, _| {},
-    );
+    grid(&net, &grown, &rates, Some(&session));
     assert_eq!(session.stats().misses, 0);
 
     set_threads(None);

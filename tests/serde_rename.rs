@@ -5,11 +5,11 @@
 //! pre-rename derive (every existing `FaultPlan` / `AccelConfig` JSON) still
 //! parse unchanged.
 
+use serde::json::{from_str, to_string};
 use serde::{Deserialize, Serialize};
 use shortcut_mining::accel::AccelConfig;
 use shortcut_mining::core::{FaultPlan, Protection, RecoveryPolicy};
 use shortcut_mining::model::graph::{GraphDoc, GraphOp, JunctionKind};
-use sm_bench::json::{from_json, to_json};
 
 /// Exercises every renamed variant shape: unit, newtype, struct — plus an
 /// unrenamed variant mixed in, and a container-level rename.
@@ -31,18 +31,18 @@ enum Shape {
 
 #[test]
 fn variant_renames_control_the_wire_tag() {
-    assert_eq!(to_json(&Shape::Point).unwrap(), r#""dot""#);
+    assert_eq!(to_string(&Shape::Point).unwrap(), r#""dot""#);
     assert_eq!(
-        to_json(&Shape::Round { radius: 2.0 }).unwrap(),
+        to_string(&Shape::Round { radius: 2.0 }).unwrap(),
         r#"{"circle":{"radius":2}}"#
     );
     assert_eq!(
-        to_json(&Shape::Label("a".into())).unwrap(),
+        to_string(&Shape::Label("a".into())).unwrap(),
         r#"{"tag":"a"}"#
     );
     // Unrenamed variants keep the Rust spelling.
     assert_eq!(
-        to_json(&Shape::Square { side: 1.0 }).unwrap(),
+        to_string(&Shape::Square { side: 1.0 }).unwrap(),
         r#"{"Square":{"side":1}}"#
     );
 }
@@ -55,8 +55,8 @@ fn variant_renames_round_trip() {
         Shape::Label("x".into()),
         Shape::Square { side: 3.0 },
     ] {
-        let json = to_json(&shape).unwrap();
-        assert_eq!(from_json::<Shape>(&json).unwrap(), shape, "{json}");
+        let json = to_string(&shape).unwrap();
+        assert_eq!(from_str::<Shape>(&json).unwrap(), shape, "{json}");
     }
 }
 
@@ -64,13 +64,13 @@ fn variant_renames_round_trip() {
 fn rust_spellings_of_renamed_variants_are_not_accepted() {
     // The rename *replaces* the wire name; the old spelling must not keep
     // working silently (that would fork the format).
-    assert!(from_json::<Shape>(r#""Point""#).is_err());
-    assert!(from_json::<Shape>(r#"{"Round":{"radius":1}}"#).is_err());
+    assert!(from_str::<Shape>(r#""Point""#).is_err());
+    assert!(from_str::<Shape>(r#"{"Round":{"radius":1}}"#).is_err());
 }
 
 #[test]
 fn unknown_variant_errors_use_the_container_wire_name() {
-    let err = from_json::<Shape>(r#""blob""#).unwrap_err().to_string();
+    let err = from_str::<Shape>(r#""blob""#).unwrap_err().to_string();
     assert!(
         err.contains("unknown variant `blob` for wire_shape"),
         "container rename missing from: {err}"
@@ -81,16 +81,14 @@ fn unknown_variant_errors_use_the_container_wire_name() {
 fn graph_op_uses_the_renamed_wire_spellings() {
     // The consumers of the new attributes: every graph op serializes under
     // its format spelling, unit variants as bare strings.
-    assert_eq!(to_json(&GraphOp::GlobalAvgPool).unwrap(), r#""gap""#);
-    assert_eq!(to_json(&GraphOp::Concat).unwrap(), r#""concat""#);
+    assert_eq!(to_string(&GraphOp::GlobalAvgPool).unwrap(), r#""gap""#);
+    assert_eq!(to_string(&GraphOp::Concat).unwrap(), r#""concat""#);
     assert_eq!(
-        to_json(&GraphOp::Fc { out_features: 10 }).unwrap(),
+        to_string(&GraphOp::Fc { out_features: 10 }).unwrap(),
         r#"{"fc":{"out_features":10}}"#
     );
-    assert_eq!(to_json(&JunctionKind::Add).unwrap(), r#""add""#);
-    let err = from_json::<GraphOp>(r#""softmax""#)
-        .unwrap_err()
-        .to_string();
+    assert_eq!(to_string(&JunctionKind::Add).unwrap(), r#""add""#);
+    let err = from_str::<GraphOp>(r#""softmax""#).unwrap_err().to_string();
     assert!(err.contains("unknown variant `softmax` for op"), "{err}");
 }
 
@@ -103,19 +101,19 @@ fn pre_rename_fault_plan_documents_still_parse() {
         .with_dram_faults(0.1)
         .with_weight_faults(0.01, Protection::Ecc)
         .with_recovery(RecoveryPolicy::RefetchTile);
-    let json = to_json(&plan).unwrap();
+    let json = to_string(&plan).unwrap();
     // Unrenamed enums keep their Rust spellings on the wire...
     assert!(json.contains(r#""Ecc""#), "{json}");
     assert!(json.contains(r#""RefetchTile""#), "{json}");
     // ...and a document using those spellings parses to the same plan.
-    assert_eq!(from_json::<FaultPlan>(&json).unwrap(), plan);
+    assert_eq!(from_str::<FaultPlan>(&json).unwrap(), plan);
 }
 
 #[test]
 fn pre_rename_accel_config_documents_still_parse() {
     let cfg = AccelConfig::default().with_fm_capacity(96 << 10);
-    let json = to_json(&cfg).unwrap();
-    assert_eq!(from_json::<AccelConfig>(&json).unwrap(), cfg);
+    let json = to_string(&cfg).unwrap();
+    assert_eq!(from_str::<AccelConfig>(&json).unwrap(), cfg);
 }
 
 #[test]

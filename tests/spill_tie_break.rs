@@ -8,9 +8,9 @@
 //! hash order. This file is its own test binary, so it owns the
 //! process-global thread count.
 
+use serde::json::to_string;
 use shortcut_mining::accel::AccelConfig;
-use shortcut_mining::bench::json::to_json;
-use shortcut_mining::core::parallel::{par_map_auto, set_threads};
+use shortcut_mining::core::parallel::{par_map, set_threads, threads};
 use shortcut_mining::core::{Experiment, Policy, SpillOrder};
 use shortcut_mining::model::zoo;
 
@@ -24,8 +24,8 @@ fn render() -> String {
         Policy::shortcut_mining(),
         Policy::shortcut_mining().with_spill_order(SpillOrder::NearestJunctionFirst),
     ];
-    let runs = par_map_auto(&policies, |&policy| exp.run(&net, policy));
-    to_json(&runs).expect("run stats serialize")
+    let runs = par_map(&policies, threads(), |&policy| exp.run(&net, policy));
+    to_string(&runs).expect("run stats serialize")
 }
 
 #[test]
