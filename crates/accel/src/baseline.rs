@@ -1,12 +1,8 @@
-use sm_buffer::BufferStats;
-use sm_mem::{ClassTotals, DramModel, Ledger, TrafficClass};
+use sm_mem::{ClassTotals, TrafficClass};
 use sm_model::{Layer, LayerKind, Network};
 
-use crate::cycles::{
-    conv_compute_cycles, dram_cycles, fc_compute_cycles, vector_compute_cycles, LayerCycles,
-};
-use crate::tiling::{plan_conv_cached, ConvDims, TileCaps};
-use crate::{AccelConfig, AccelError, FaultStats, LayerPerfSummary, LayerReport, RunStats};
+use crate::run::{layer_work, read_class, FaultCost, LayerWork, RunBuilder};
+use crate::{AccelConfig, AccelError, FaultStats, RunStats};
 
 /// The conventional fixed-buffer accelerator — the paper's comparison point.
 ///
@@ -51,17 +47,6 @@ impl BaselineAccelerator {
         self.config
     }
 
-    /// Tile capacities the baseline's fixed buffers offer a layer.
-    pub fn tile_caps(&self) -> TileCaps {
-        let fixed = self.config.sram.as_fixed();
-        TileCaps {
-            ifm_bytes: fixed.ifm_half(),
-            ofm_bytes: fixed.ofm_half(),
-            weight_tile_bytes: fixed.weight_half(),
-            weight_total_bytes: fixed.weight_bytes,
-        }
-    }
-
     /// Simulates a full network, producing traffic and cycle statistics.
     ///
     /// # Panics
@@ -81,185 +66,50 @@ impl BaselineAccelerator {
     /// be derived from the network.
     pub fn try_simulate(&self, net: &Network) -> Result<RunStats, AccelError> {
         let cfg = self.config;
-        let fm_dram = DramModel::new(cfg.fm_dram);
-        let w_dram = DramModel::new(cfg.weight_dram);
-        let mut ledger = Ledger::new();
-        let mut layers = Vec::with_capacity(net.len());
-        let mut buffer_stats = BufferStats::default();
-        let mut total_cycles = 0u64;
-        let mut total_macs = 0u64;
-
+        let mut run = RunBuilder::new(&cfg, net);
         for layer in &net.layers()[1..] {
-            let step = self.simulate_layer(net, layer)?;
-            for (class, bytes) in &step.traffic {
-                ledger.record(layer.id.index(), *class, *bytes);
-            }
-            let mut traffic = ClassTotals::new();
-            let (mut fm_bytes, mut w_bytes) = (0u64, 0u64);
-            for (class, bytes) in &step.traffic {
-                traffic.record(*class, *bytes);
-                if class.is_feature_map() {
-                    fm_bytes += bytes;
-                } else {
-                    w_bytes += bytes;
-                }
-            }
-            // Boundary SRAM activity: everything entering or leaving DRAM
-            // passes through an on-chip buffer once in each direction.
-            buffer_stats.sram_bytes_written += traffic.reads();
-            buffer_stats.sram_bytes_read += traffic.writes();
-
-            let cycles = LayerCycles::combine(
-                step.compute_cycles,
-                dram_cycles(&fm_dram, fm_bytes),
-                dram_cycles(&w_dram, w_bytes),
-                cfg.layer_overhead,
-            );
-            total_cycles += cycles.total;
-            let macs = layer.macs(&net.in_shapes(layer.id));
-            total_macs += macs;
-            layers.push(LayerReport {
-                id: layer.id.index(),
-                name: layer.name.clone(),
-                kind: layer.kind.mnemonic(),
-                cycles,
-                traffic,
-                macs,
-                perf: LayerPerfSummary::from_cycles(cycles),
-            });
+            let work = layer_work(&cfg, net, layer, cfg.tile_caps())?;
+            let traffic = self.layer_traffic(net, layer, &work);
+            run.push(layer, work.compute_cycles, traffic, FaultCost::default());
         }
-
-        Ok(RunStats {
-            network: net.name().to_string(),
-            batch: net.input().out_shape.n,
-            architecture: if self.fused_junctions {
-                "baseline-fused".to_string()
-            } else {
-                "baseline".to_string()
-            },
-            total_cycles,
-            macs: total_macs,
-            ledger,
-            layers,
-            buffer_stats,
-            faults: FaultStats::default(),
-            clock_hz: cfg.clock_hz,
-        })
+        let architecture = if self.fused_junctions {
+            "baseline-fused"
+        } else {
+            "baseline"
+        };
+        Ok(run.finish(architecture, None, FaultStats::default()))
     }
 
-    /// Traffic and compute of one layer under baseline rules.
-    fn simulate_layer(&self, net: &Network, layer: &Layer) -> Result<LayerStep, AccelError> {
-        let cfg = self.config;
-        let elem = cfg.elem_bytes;
-        let lanes = cfg.pe_rows * cfg.pe_cols;
-        let operand_bytes =
-            |operand: usize| -> u64 { net.layer(layer.inputs[operand]).out_elems() as u64 * elem };
-        // Class of an operand read: non-adjacent producers are shortcut
-        // re-reads; adjacent ones are ordinary input fetches.
-        let read_class = |operand: usize| -> TrafficClass {
-            if layer.inputs[operand].index() + 1 < layer.id.index() {
-                TrafficClass::ShortcutRead
-            } else {
-                TrafficClass::IfmRead
-            }
-        };
-        let mut traffic: Vec<(TrafficClass, u64)> = Vec::new();
-        let out_bytes = layer.out_elems() as u64 * elem;
-
-        let compute_cycles = match layer.kind {
-            LayerKind::Input => 0,
-            LayerKind::Conv(_) => {
-                let dims = ConvDims::from_layer(net, layer).ok_or_else(|| AccelError::NotConv {
-                    layer: layer.name.clone(),
-                })?;
-                let plan = plan_conv_cached(dims, self.tile_caps(), cfg.pe_rows, cfg.pe_cols, elem);
-                traffic.push((read_class(0), plan.ifm_dram_bytes));
-                traffic.push((TrafficClass::WeightRead, plan.weight_dram_bytes));
-                traffic.push((TrafficClass::OfmWrite, plan.ofm_dram_bytes));
-                conv_compute_cycles(dims, plan.tm, plan.tn)
-            }
-            LayerKind::DepthwiseConv(spec) => {
-                // One filter per channel: only the PE rows parallelize
-                // (channels); the column dimension idles — the well-known
-                // poor utilization of depthwise layers on MAC arrays.
-                let in_shape = net.in_shapes(layer.id)[0];
-                let w_bytes = (in_shape.c * spec.kernel * spec.kernel) as u64 * elem;
-                traffic.push((read_class(0), operand_bytes(0)));
-                traffic.push((TrafficClass::WeightRead, w_bytes));
-                traffic.push((TrafficClass::OfmWrite, out_bytes));
-                in_shape.n as u64
-                    * in_shape.c.div_ceil(cfg.pe_rows) as u64
-                    * (layer.out_shape.h * layer.out_shape.w) as u64
-                    * (spec.kernel * spec.kernel) as u64
-            }
-            LayerKind::Pool(spec) => {
-                traffic.push((read_class(0), operand_bytes(0)));
-                traffic.push((TrafficClass::OfmWrite, out_bytes));
-                vector_compute_cycles(
-                    layer.out_elems() as u64 * (spec.kernel * spec.kernel) as u64,
-                    lanes,
-                )
-            }
-            LayerKind::GlobalAvgPool => {
-                traffic.push((read_class(0), operand_bytes(0)));
-                traffic.push((TrafficClass::OfmWrite, out_bytes));
-                vector_compute_cycles(operand_bytes(0) / elem, lanes)
-            }
-            LayerKind::Fc { out_features } => {
-                let in_shape = net.in_shapes(layer.id)[0];
-                let in_features = in_shape.per_image();
-                let batch = in_shape.n;
-                let w_bytes = (out_features * in_features) as u64 * elem;
-                let passes = if w_bytes <= cfg.sram.weight_bytes {
-                    1
-                } else {
-                    batch as u64
-                };
-                traffic.push((read_class(0), operand_bytes(0)));
-                traffic.push((TrafficClass::WeightRead, w_bytes * passes));
-                traffic.push((TrafficClass::OfmWrite, out_bytes));
-                fc_compute_cycles(batch, in_features, out_features, cfg.pe_rows, cfg.pe_cols)
-            }
-            LayerKind::EltwiseAdd { .. } => {
-                if self.fused_junctions {
-                    // Folded into the producing conv's output streaming: only
-                    // non-adjacent operands cross the chip boundary again.
-                    for op in 0..layer.inputs.len() {
-                        if layer.inputs[op].index() + 1 < layer.id.index() {
-                            traffic.push((TrafficClass::ShortcutRead, operand_bytes(op)));
-                        }
+    /// DRAM traffic of one layer under baseline rules: every operand read
+    /// in full, every output written back.
+    fn layer_traffic(&self, net: &Network, layer: &Layer, work: &LayerWork) -> ClassTotals {
+        let elem = self.config.elem_bytes;
+        let mut traffic = ClassTotals::new();
+        traffic.record(TrafficClass::WeightRead, work.weight_bytes);
+        match layer.kind {
+            // A fused addition folds into the producing conv's output
+            // streaming: only non-adjacent operands cross the chip boundary
+            // again.
+            LayerKind::EltwiseAdd { .. } if self.fused_junctions => {
+                for (op, &pid) in layer.inputs.iter().enumerate() {
+                    if read_class(pid, layer.id) == TrafficClass::ShortcutRead {
+                        let bytes = work.operand_bytes(net, layer, op, elem);
+                        traffic.record(TrafficClass::ShortcutRead, bytes);
                     }
-                } else {
-                    for op in 0..layer.inputs.len() {
-                        traffic.push((read_class(op), operand_bytes(op)));
-                    }
-                    traffic.push((TrafficClass::OfmWrite, out_bytes));
                 }
-                vector_compute_cycles(layer.out_elems() as u64, lanes)
             }
-            LayerKind::ConcatChannels => {
-                if self.fused_junctions {
-                    // Concatenation by address aliasing: free.
-                } else {
-                    for op in 0..layer.inputs.len() {
-                        traffic.push((read_class(op), operand_bytes(op)));
-                    }
-                    traffic.push((TrafficClass::OfmWrite, out_bytes));
+            // A fused concatenation aliases addresses: free.
+            LayerKind::ConcatChannels if self.fused_junctions => {}
+            _ => {
+                for (op, &pid) in layer.inputs.iter().enumerate() {
+                    let bytes = work.operand_bytes(net, layer, op, elem);
+                    traffic.record(read_class(pid, layer.id), bytes);
                 }
-                0
+                traffic.record(TrafficClass::OfmWrite, layer.out_elems() as u64 * elem);
             }
-        };
-
-        Ok(LayerStep {
-            traffic,
-            compute_cycles,
-        })
+        }
+        traffic
     }
-}
-
-struct LayerStep {
-    traffic: Vec<(TrafficClass, u64)>,
-    compute_cycles: u64,
 }
 
 #[cfg(test)]

@@ -3,6 +3,8 @@ use serde::{Deserialize, Serialize};
 use sm_buffer::{BankPoolConfig, FixedBufferConfig};
 use sm_mem::DramConfig;
 
+use crate::tiling::TileCaps;
+
 /// On-chip SRAM plan shared by both architectures.
 ///
 /// The comparison in the paper is iso-capacity: the baseline's fixed IFM/OFM
@@ -116,6 +118,19 @@ impl AccelConfig {
         self.fm_dram.bytes_per_cycle = bytes_per_cycle;
         self.weight_dram.bytes_per_cycle = bytes_per_cycle;
         self
+    }
+
+    /// Tile capacities every architecture plans a layer with: the halves of
+    /// the baseline's fixed buffers. Sharing them keeps per-layer schedules
+    /// identical across architectures, so only cross-layer reuse differs.
+    pub fn tile_caps(&self) -> TileCaps {
+        let fixed = self.sram.as_fixed();
+        TileCaps {
+            ifm_bytes: fixed.ifm_half(),
+            ofm_bytes: fixed.ofm_half(),
+            weight_tile_bytes: fixed.weight_half(),
+            weight_total_bytes: fixed.weight_bytes,
+        }
     }
 
     /// Seconds per cycle at the configured clock.

@@ -17,18 +17,11 @@
 //! optimistic for fusion makes the comparison conservative for Shortcut
 //! Mining.
 
-use sm_buffer::BufferStats;
-use sm_mem::{ClassTotals, DramModel, Ledger, TrafficClass};
+use sm_mem::{ClassTotals, TrafficClass};
 use sm_model::{Layer, LayerId, LayerKind, Network};
 
-use crate::cycles::{
-    conv_compute_cycles, dram_cycles, fc_compute_cycles, vector_compute_cycles, LayerCycles,
-};
-use crate::tiling::{plan_conv_cached, ConvDims};
-use crate::{
-    AccelConfig, AccelError, BaselineAccelerator, FaultStats, LayerPerfSummary, LayerReport,
-    RunStats,
-};
+use crate::run::{layer_work, read_class, FaultCost, RunBuilder};
+use crate::{AccelConfig, AccelError, FaultStats, RunStats};
 
 /// The fused-layer accelerator simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,152 +121,41 @@ impl FusedLayerAccelerator {
     /// be derived, [`AccelError::EmptyChain`] on an internal fusion bug.
     pub fn try_simulate(&self, net: &Network) -> Result<RunStats, AccelError> {
         let cfg = self.config;
-        let fm_dram = DramModel::new(cfg.fm_dram);
-        let w_dram = DramModel::new(cfg.weight_dram);
-        let baseline = BaselineAccelerator::new(cfg);
-        let caps = baseline.tile_caps();
-        let mut ledger = Ledger::new();
-        let mut layers = Vec::with_capacity(net.len());
-        let mut buffer_stats = BufferStats::default();
-        let (mut total_cycles, mut total_macs) = (0u64, 0u64);
-
+        let elem = cfg.elem_bytes;
+        let mut run = RunBuilder::new(&cfg, net);
         for chain in self.fusion_chains(net) {
             let head = *chain.first().ok_or(AccelError::EmptyChain)?;
             let tail = *chain.last().ok_or(AccelError::EmptyChain)?;
             for &lid in &chain {
                 let layer = net.layer(lid);
-                let elem = cfg.elem_bytes;
-                let lanes = cfg.pe_rows * cfg.pe_cols;
+                let work = layer_work(&cfg, net, layer, cfg.tile_caps())?;
                 let mut traffic = ClassTotals::new();
-                let mut compute = 0u64;
-                let mut w_bytes = 0u64;
-
                 // Operand reads: only the chain head reads from DRAM;
                 // interior layers consume line buffers. Non-chain operands
                 // (junction shortcut inputs) always come from DRAM.
                 for (op, &pid) in layer.inputs.iter().enumerate() {
-                    let from_chain = op == 0 && lid != head;
-                    if from_chain {
+                    if op == 0 && lid != head {
                         continue;
                     }
-                    let class = if pid.index() + 1 < lid.index() {
-                        TrafficClass::ShortcutRead
-                    } else {
-                        TrafficClass::IfmRead
-                    };
-                    let bytes = match (layer.kind, op) {
-                        (LayerKind::Conv(_), 0) => {
-                            let dims = ConvDims::from_layer(net, layer).ok_or_else(|| {
-                                AccelError::NotConv {
-                                    layer: layer.name.clone(),
-                                }
-                            })?;
-                            plan_conv_cached(dims, caps, cfg.pe_rows, cfg.pe_cols, elem)
-                                .ifm_dram_bytes
-                        }
-                        _ => net.layer(pid).out_elems() as u64 * elem,
-                    };
-                    traffic.record(class, bytes);
+                    let bytes = work.operand_bytes(net, layer, op, elem);
+                    traffic.record(read_class(pid, lid), bytes);
                 }
                 // Output write: only the chain tail reaches DRAM.
                 if lid == tail {
                     traffic.record(TrafficClass::OfmWrite, layer.out_elems() as u64 * elem);
                 }
-                // Weights and compute, per layer kind.
-                match layer.kind {
-                    LayerKind::Conv(_) => {
-                        let dims = ConvDims::from_layer(net, layer).ok_or_else(|| {
-                            AccelError::NotConv {
-                                layer: layer.name.clone(),
-                            }
-                        })?;
-                        let plan = plan_conv_cached(dims, caps, cfg.pe_rows, cfg.pe_cols, elem);
-                        w_bytes = plan.weight_dram_bytes;
-                        compute = conv_compute_cycles(dims, plan.tm, plan.tn);
-                    }
-                    LayerKind::DepthwiseConv(spec) => {
-                        let in_shape = net.in_shapes(lid)[0];
-                        w_bytes = (in_shape.c * spec.kernel * spec.kernel) as u64 * elem;
-                        compute = in_shape.n as u64
-                            * in_shape.c.div_ceil(cfg.pe_rows) as u64
-                            * (layer.out_shape.h * layer.out_shape.w) as u64
-                            * (spec.kernel * spec.kernel) as u64;
-                    }
-                    LayerKind::Fc { out_features } => {
-                        let in_shape = net.in_shapes(lid)[0];
-                        let in_features = in_shape.per_image();
-                        w_bytes = (out_features * in_features) as u64 * elem;
-                        compute = fc_compute_cycles(
-                            in_shape.n,
-                            in_features,
-                            out_features,
-                            cfg.pe_rows,
-                            cfg.pe_cols,
-                        );
-                    }
-                    LayerKind::Pool(spec) => {
-                        compute = vector_compute_cycles(
-                            layer.out_elems() as u64 * (spec.kernel * spec.kernel) as u64,
-                            lanes,
-                        );
-                    }
-                    LayerKind::GlobalAvgPool => {
-                        compute = vector_compute_cycles(
-                            net.layer(layer.inputs[0]).out_elems() as u64,
-                            lanes,
-                        );
-                    }
-                    LayerKind::EltwiseAdd { .. } => {
-                        compute = vector_compute_cycles(layer.out_elems() as u64, lanes);
-                    }
-                    LayerKind::ConcatChannels | LayerKind::Input => {}
-                }
-                traffic.record(TrafficClass::WeightRead, w_bytes);
-
-                for class in TrafficClass::ALL {
-                    ledger.record(lid.index(), class, traffic.class(class));
-                }
-                buffer_stats.sram_bytes_written += traffic.reads();
-                buffer_stats.sram_bytes_read += traffic.writes();
-                let cycles = LayerCycles::combine(
-                    compute,
-                    dram_cycles(&fm_dram, traffic.feature_map()),
-                    dram_cycles(&w_dram, w_bytes),
-                    cfg.layer_overhead,
-                );
-                total_cycles += cycles.total;
-                let macs = layer.macs(&net.in_shapes(lid));
-                total_macs += macs;
-                layers.push(LayerReport {
-                    id: lid.index(),
-                    name: layer.name.clone(),
-                    kind: layer.kind.mnemonic(),
-                    cycles,
-                    traffic,
-                    macs,
-                    perf: LayerPerfSummary::from_cycles(cycles),
-                });
+                traffic.record(TrafficClass::WeightRead, work.weight_bytes);
+                run.push(layer, work.compute_cycles, traffic, FaultCost::default());
             }
         }
-
-        Ok(RunStats {
-            network: net.name().to_string(),
-            batch: net.input().out_shape.n,
-            architecture: "fused-layer".to_string(),
-            total_cycles,
-            macs: total_macs,
-            ledger,
-            layers,
-            buffer_stats,
-            faults: FaultStats::default(),
-            clock_hz: cfg.clock_hz,
-        })
+        Ok(run.finish("fused-layer", None, FaultStats::default()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BaselineAccelerator;
     use sm_model::zoo;
 
     fn accel() -> FusedLayerAccelerator {

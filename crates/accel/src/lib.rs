@@ -13,6 +13,9 @@
 //!   weight-stationary) that minimizes DRAM traffic.
 //! * [`cycles`] — the double-buffered cycle model: per layer,
 //!   `max(compute, fm-DRAM, weight-DRAM)` plus a fixed pipeline overhead.
+//! * [`run`] — the simulator core every architecture shares: one per-layer
+//!   cost model ([`run::layer_work`]) and one roll-up of per-layer traffic
+//!   into the ledger, cycles and reports ([`run::RunBuilder`]).
 //! * [`BaselineAccelerator`] — the conventional fixed-buffer accelerator:
 //!   every layer reads its inputs from DRAM and writes its output back, with
 //!   shortcut operands re-read at junctions. This is the comparison point
@@ -53,6 +56,7 @@ pub mod addrgen;
 pub mod cycles;
 pub mod functional;
 pub mod pipeline;
+pub mod run;
 pub mod tiling;
 
 pub use baseline::BaselineAccelerator;

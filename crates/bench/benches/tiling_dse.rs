@@ -4,13 +4,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use sm_accel::tiling::{plan_conv, ConvDims, TileCaps};
-use sm_accel::{AccelConfig, BaselineAccelerator};
+use sm_accel::tiling::{plan_conv, ConvDims};
+use sm_accel::AccelConfig;
 use sm_model::zoo;
 
 fn bench_dse(c: &mut Criterion) {
     let cfg = AccelConfig::default();
-    let caps: TileCaps = BaselineAccelerator::new(cfg).tile_caps();
+    let caps = cfg.tile_caps();
     let mut g = c.benchmark_group("tiling_dse");
 
     for (name, net) in [

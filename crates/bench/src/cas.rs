@@ -45,7 +45,9 @@
 //!   checksum) is treated exactly like media corruption: the entry is
 //!   removed and the cell recomputed. An eviction is *counted* only when
 //!   the removal actually succeeded, so two sessions racing on the same
-//!   corrupt key never double-count it.
+//!   corrupt key never double-count it, and a removal is skipped when an
+//!   entry was published since the corrupt read, so it can never delete
+//!   the valid entry another session recomputed in the meantime.
 //! * **Health state machine** — consecutive write failures walk the store
 //!   Healthy → Degraded → Offline ([`StoreHealth`]). Degraded is
 //!   read-only: gets still serve hits, and every [`HEALTH_PROBE_EVERY`]-th
@@ -446,12 +448,18 @@ pub struct ResultCache {
     health: Mutex<HealthMachine>,
     gc: Option<Mutex<GcState>>,
     tmp_counter: AtomicU64,
+    /// Entries published so far. Publishing renames and evictions hold
+    /// this lock, and an eviction is skipped when the count moved since its
+    /// read: the file at the path may then be a valid, newer entry.
+    published: Mutex<u64>,
 }
 
-/// A validated entry file: its contents and where the payload starts.
+/// A validated entry file: its contents, where the payload starts, and
+/// the publish count when it was read.
 struct Entry {
     body: String,
     payload_at: usize,
+    read_at: u64,
 }
 
 impl Entry {
@@ -550,6 +558,7 @@ impl ResultCache {
             health: Mutex::new(HealthMachine::default()),
             gc,
             tmp_counter: AtomicU64::new(0),
+            published: Mutex::new(0),
         })
     }
 
@@ -627,11 +636,24 @@ impl ResultCache {
         }
     }
 
-    /// Removes a corrupt or stale entry, returning whether an eviction
-    /// should be *counted*: only a removal that actually happened counts,
-    /// so two sessions racing on the same bad entry count it once (the
-    /// loser sees `NotFound`).
-    fn evict_entry(&self, key: CacheKey) -> bool {
+    /// The publish count, taken before a read so a later eviction can tell
+    /// whether the file it condemns may have been replaced since.
+    fn publish_count(&self) -> u64 {
+        *self.published.lock().expect("publish lock")
+    }
+
+    /// Removes a corrupt or stale entry read at publish count `read_at`,
+    /// returning whether an eviction should be *counted*: only a removal
+    /// that actually happened counts, so two sessions racing on the same
+    /// bad entry count it once (the loser sees `NotFound`). When an entry
+    /// was published since the read, the removal is skipped: the file may
+    /// be a valid entry another session recomputed, and if it is still the
+    /// bad one the caller's own put replaces it.
+    fn evict_entry(&self, key: CacheKey, read_at: u64) -> bool {
+        let published = self.published.lock().expect("publish lock");
+        if *published != read_at {
+            return false;
+        }
         match self.disk.remove_file(&self.entry_path(key)) {
             Ok(()) => {
                 self.forget_entry(key);
@@ -773,15 +795,23 @@ impl ResultCache {
     /// takes the same evict-and-recompute path.
     fn load_payload(&self, key: CacheKey) -> (Option<Entry>, bool) {
         let path = self.entry_path(key);
+        let read_at = self.publish_count();
         let body = match self.disk.read_to_string(&path) {
             Ok(body) => body,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return (None, false),
-            Err(_) => return (None, self.evict_entry(key)),
+            Err(_) => return (None, self.evict_entry(key, read_at)),
         };
         match payload_offset(&body, key) {
-            Some(payload_at) => (Some(Entry { body, payload_at }), false),
+            Some(payload_at) => (
+                Some(Entry {
+                    body,
+                    payload_at,
+                    read_at,
+                }),
+                false,
+            ),
             // Corrupt or stale: evict so the recomputed entry replaces it.
-            None => (None, self.evict_entry(key)),
+            None => (None, self.evict_entry(key, read_at)),
         }
     }
 
@@ -807,10 +837,13 @@ impl ResultCache {
             let _ = self.disk.remove_file(&tmp);
             return Err(e);
         }
+        let mut published = self.published.lock().expect("publish lock");
         if let Err(e) = self.disk.rename(&tmp, &self.entry_path(key)) {
+            drop(published);
             let _ = self.disk.remove_file(&tmp);
             return Err(e);
         }
+        *published += 1;
         Ok(body.len() as u64)
     }
 }
@@ -852,7 +885,7 @@ impl CacheSession<'_> {
             }
             Err(_) => {
                 // Parsed header but payload shape mismatch: stale schema.
-                if self.store.evict_entry(key) {
+                if self.store.evict_entry(key, e.read_at) {
                     delta.evictions += 1;
                 }
                 None
@@ -1121,6 +1154,27 @@ mod tests {
         let s = session.stats();
         assert_eq!(s.evictions, 3, "{s:?}");
         assert_eq!(s.hits, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_late_eviction_never_removes_a_republished_entry() {
+        // Session B reads a corrupt entry; session A evicts it, recomputes
+        // and republishes before B gets to evict. B's eviction must leave
+        // A's valid entry alone and count nothing.
+        let dir = tmp_dir("late-evict");
+        let store = ResultCache::open(&dir).unwrap();
+        let session = store.session();
+        let key = cell_key("t", &2u64).unwrap();
+        session.put(key, &cell(2));
+        let b_read_at = store.publish_count();
+        assert!(store.evict_entry(key, store.publish_count()), "A evicts");
+        session.put(key, &cell(2));
+        assert!(
+            !store.evict_entry(key, b_read_at),
+            "B's eviction is skipped"
+        );
+        assert_eq!(session.get::<Cell>(key), Some(cell(2)));
         let _ = fs::remove_dir_all(&dir);
     }
 

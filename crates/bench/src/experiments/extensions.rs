@@ -196,11 +196,10 @@ pub fn ext_datatype(base: AccelConfig, batch: usize) -> ExtSweepResult {
 pub fn ext_pipeline_validation(config: AccelConfig, batch: usize) -> Table {
     use sm_accel::cycles::conv_compute_cycles;
     use sm_accel::pipeline::{simulate_pipeline, tile_tasks};
-    use sm_accel::tiling::{plan_conv_cached, ConvDims, TileCaps};
-    use sm_accel::BaselineAccelerator;
+    use sm_accel::tiling::{plan_conv_cached, ConvDims};
     use sm_mem::DramModel;
 
-    let caps: TileCaps = BaselineAccelerator::new(config).tile_caps();
+    let caps = config.tile_caps();
     let fm = DramModel::new(config.fm_dram);
     let w = DramModel::new(config.weight_dram);
     let mut table = Table::new(
@@ -386,11 +385,10 @@ pub fn ext_bound_breakdown(config: AccelConfig, batch: usize) -> ExtSweepResult 
 /// is recorded as a calibration honesty note in EXPERIMENTS.md.
 pub fn ext_ddr_bandwidth(config: AccelConfig, batch: usize) -> ExtSweepResult {
     use sm_accel::addrgen::{fm_stream_cost, weight_stream};
-    use sm_accel::tiling::{plan_conv_cached, ConvDims, TileCaps};
-    use sm_accel::BaselineAccelerator;
+    use sm_accel::tiling::{plan_conv_cached, ConvDims};
     use sm_mem::ddr::{DdrChannel, DdrTimings};
 
-    let caps: TileCaps = BaselineAccelerator::new(config).tile_caps();
+    let caps = config.tile_caps();
     let mut channel = DdrChannel::new(DdrTimings::default());
     let mut table = Table::new(
         "Ext 10 - derived effective DRAM bandwidth (DDR row-buffer model)",
@@ -596,12 +594,11 @@ mod tests {
     fn event_model_tracks_the_analytic_bound() {
         use sm_accel::cycles::conv_compute_cycles;
         use sm_accel::pipeline::{simulate_pipeline, tile_tasks};
-        use sm_accel::tiling::{plan_conv_cached, ConvDims, TileCaps};
-        use sm_accel::BaselineAccelerator;
+        use sm_accel::tiling::{plan_conv_cached, ConvDims};
         use sm_mem::DramModel;
 
         let cfg = AccelConfig::default();
-        let caps: TileCaps = BaselineAccelerator::new(cfg).tile_caps();
+        let caps = cfg.tile_caps();
         let fm = DramModel::new(cfg.fm_dram);
         let w = DramModel::new(cfg.weight_dram);
         let net = zoo::resnet34(1);

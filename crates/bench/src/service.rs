@@ -54,9 +54,12 @@
 //! emitter thread drains those queues **in request-admission order**: all
 //! of request 1's events, then all of request 2's, and so on. Each
 //! request's stream is internally ordered (`accepted` → `cell` in index
-//! order → `done`/`error`), so the *entire output* is byte-identical to
-//! sequential serving at any `max_inflight` and any worker-thread count —
-//! interleaving buys wall-clock overlap, not output nondeterminism.
+//! order → `done`/`error`), so when the requests in flight share no cells
+//! the *entire output* is byte-identical to sequential serving at any
+//! `max_inflight` and any worker-thread count. Requests that do share
+//! cells race to compute them: the `cached` flags and `cache` counts then
+//! depend on which request got there first, but every `result` payload is
+//! still the sequential one.
 //!
 //! ```json
 //! {"id":"r1","event":"accepted","kind":"chaos-grid"}
@@ -70,8 +73,10 @@
 //! Malformed or unserviceable requests produce a single
 //! `{"id":...,"event":"error","reason":...,"message":...}` line
 //! (`reason` ∈ `bad-request` / `unserviceable` / `deadline` /
-//! `write-failed`) and the service keeps reading. EOF on the input ends
-//! the service.
+//! `write-failed`) and the service keeps reading. A line that is not
+//! UTF-8 or is longer than [`MAX_LINE_BYTES`] is a `bad-request` with an
+//! empty id; an over-long line is skipped without being stored. EOF on the
+//! input ends the service.
 //!
 //! # Client failures and store health
 //!
@@ -192,6 +197,41 @@ struct Request {
     deadline_ms: Option<u64>,
     net_file: Option<String>,
     graph: Option<String>,
+}
+
+/// Longest request line [`run_serve`] reads, in bytes before the newline.
+/// A longer line is answered `bad-request` without being stored, and the
+/// next line is served. The largest zoo graph export is about 23 KB.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads the next request line into `buf`: `Ok(None)` at end of input,
+/// otherwise the line without its line ending, or why it cannot be a
+/// request (longer than [`MAX_LINE_BYTES`], or not UTF-8). `buf` grows
+/// with the line, never to the cap up front, and the rest of an over-long
+/// line is consumed without being stored.
+fn read_line<'b>(
+    input: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if io::Read::take(&mut *input, limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        input.skip_until(b'\n')?;
+        return Ok(Some(Err(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|e| {
+        format!("request line is not valid UTF-8: {e}")
+    })))
 }
 
 fn parse_request(line: &str) -> Result<Request, (String, String)> {
@@ -316,7 +356,8 @@ impl Inflight {
 /// to `output`. All requests share `store`; each gets a fresh session. Up
 /// to `options.max_inflight` requests execute concurrently, with output
 /// muxed deterministically in request-admission order (see the module
-/// docs — the bytes are identical to sequential serving).
+/// docs — the bytes are identical to sequential serving when in-flight
+/// requests share no cells, and the results are identical always).
 ///
 /// # Errors
 ///
@@ -367,25 +408,28 @@ pub fn run_serve(
                 }
             }
         });
-        for line in input.lines() {
-            if write_failed.load(Ordering::Relaxed) {
-                break;
-            }
-            let line = match line {
-                Ok(line) => line,
+        let mut input = input;
+        let mut buf = Vec::new();
+        while !write_failed.load(Ordering::Relaxed) {
+            let line = match read_line(&mut input, &mut buf) {
+                Ok(Some(line)) => line,
+                Ok(None) => break,
                 Err(e) => {
                     input_error = Some(e);
                     break;
                 }
             };
-            if line.trim().is_empty() {
+            if matches!(line, Ok(l) if l.trim().is_empty()) {
                 continue;
             }
             let (tx, rx) = mpsc::channel::<String>();
             if mux_tx.send(rx).is_err() {
                 break;
             }
-            let req = match parse_request(&line) {
+            let req = match line
+                .map_err(|msg| (String::new(), msg))
+                .and_then(parse_request)
+            {
                 Ok(req) => req,
                 Err((id, msg)) => {
                     let _ = tx.send(error_line(&id, "bad-request", &msg));
@@ -574,8 +618,12 @@ mod tests {
     }
 
     fn serve(store: &ResultCache, input: &str) -> Vec<String> {
+        serve_bytes(store, input.as_bytes())
+    }
+
+    fn serve_bytes(store: &ResultCache, input: &[u8]) -> Vec<String> {
         let mut out = Vec::new();
-        run_serve(input.as_bytes(), &mut out, store, &ServeOptions::default()).unwrap();
+        run_serve(input, &mut out, store, &ServeOptions::default()).unwrap();
         String::from_utf8(out)
             .unwrap()
             .lines()
@@ -718,6 +766,59 @@ mod tests {
         assert!(lines
             .iter()
             .any(|l| l.contains(r#""id":"c","event":"done""#)));
+    }
+
+    /// Serves `ok`, then `bad`, then `ok` again under id `c`, and returns
+    /// the one error event; both good lines must be answered.
+    fn serve_around(tag: &str, bad: &[u8]) -> String {
+        let store = tmp_store(tag);
+        let ok = r#"{"id":"a","kind":"compare","network":"toy_residual"}"#;
+        let mut input = format!("{ok}\n").into_bytes();
+        input.extend_from_slice(bad);
+        input.extend_from_slice(format!("\n{}\n", ok.replace("\"a\"", "\"c\"")).as_bytes());
+        let lines = serve_bytes(&store, &input);
+        for id in ["a", "c"] {
+            let done = format!(r#""id":"{id}","event":"done""#);
+            assert!(lines.iter().any(|l| l.contains(&done)), "{id}: {lines:?}");
+        }
+        let errors: Vec<&String> = lines
+            .iter()
+            .filter(|l| l.contains(r#""event":"error""#))
+            .collect();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].contains(r#""id":"","event":"error","reason":"bad-request""#),
+            "{}",
+            errors[0]
+        );
+        errors[0].clone()
+    }
+
+    #[test]
+    fn invalid_utf8_line_is_a_bad_request_and_the_next_line_is_served() {
+        let error = serve_around("utf8", b"{\"id\":\"b\xff\xfe\"}");
+        assert!(error.contains("not valid UTF-8"), "{error}");
+    }
+
+    #[test]
+    fn over_long_line_is_a_bad_request_and_the_next_line_is_served() {
+        let error = serve_around("long-line", &vec![b'['; MAX_LINE_BYTES + 1]);
+        assert!(error.contains("longer than 1048576 bytes"), "{error}");
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_cap_is_not_rejected_for_its_length() {
+        let store = tmp_store("cap-line");
+        let ok = r#"{"id":"a","kind":"compare","network":"toy_residual"}"#;
+        let line = format!("{ok}{}", " ".repeat(MAX_LINE_BYTES - ok.len()));
+        assert_eq!(line.len(), MAX_LINE_BYTES);
+        let lines = serve(&store, &format!("{line}\n"));
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains(r#""id":"a","event":"done""#)),
+            "{lines:?}"
+        );
     }
 
     #[test]

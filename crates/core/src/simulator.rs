@@ -1,17 +1,11 @@
-use std::collections::HashMap;
-
 use serde::Serialize;
 
-use sm_accel::cycles::{
-    conv_compute_cycles, dram_cycles, ecc_check_cycles, ecc_compute_tax_cycles, fc_compute_cycles,
-    vector_compute_cycles, LayerCycles,
-};
-use sm_accel::tiling::{plan_conv_cached, ConvDims, TileCaps, TilePlan};
-use sm_accel::{
-    AccelConfig, AccelError, FaultStats, LayerPerfSummary, LayerReport, Plane, RunStats,
-};
+use sm_accel::cycles::{ecc_check_cycles, ecc_compute_tax_cycles};
+use sm_accel::run::{layer_work, read_class, FaultCost, LayerWork, RunBuilder};
+use sm_accel::tiling::{TileCaps, TilePlan};
+use sm_accel::{AccelConfig, FaultStats, Plane, RunStats};
 use sm_buffer::{BufferRole, LogicalBufferId, LogicalBuffers, Revocation};
-use sm_mem::{ClassTotals, DramModel, Ledger, TrafficClass};
+use sm_mem::{ClassTotals, Ledger, TrafficClass};
 use sm_model::{Layer, LayerId, LayerKind, Network};
 
 use crate::{
@@ -43,7 +37,7 @@ pub struct SmRun {
 }
 
 /// Where one feature map currently lives.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Resident {
     buffer: Option<LogicalBufferId>,
     total_elems: u64,
@@ -68,6 +62,40 @@ impl Resident {
             self.total_elems
         );
         self.total_elems.saturating_sub(self.resident_elems)
+    }
+}
+
+/// The live feature maps, indexed by producing layer. Iteration runs in
+/// index order, so every decision drawn from a scan is deterministic by
+/// construction.
+struct Residency(Vec<Option<Resident>>);
+
+impl Residency {
+    fn new(layers: usize) -> Self {
+        Residency(vec![None; layers])
+    }
+
+    fn get(&self, fm: usize) -> Option<&Resident> {
+        self.0.get(fm)?.as_ref()
+    }
+
+    fn get_mut(&mut self, fm: usize) -> Option<&mut Resident> {
+        self.0.get_mut(fm)?.as_mut()
+    }
+
+    fn insert(&mut self, fm: usize, resident: Resident) {
+        self.0[fm] = Some(resident);
+    }
+
+    fn remove(&mut self, fm: usize) -> Option<Resident> {
+        self.0.get_mut(fm)?.take()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, &Resident)> {
+        self.0
+            .iter()
+            .enumerate()
+            .filter_map(|(fm, r)| Some((fm, r.as_ref()?)))
     }
 }
 
@@ -115,6 +143,36 @@ struct BudgetUse {
     rollbacks: u32,
 }
 
+/// How a layer's output is read, and whether keeping it on chip pays.
+#[derive(Debug, Clone, Copy)]
+struct OutputUse {
+    /// The next layer reads it (out–in swap can serve that read).
+    adjacent_next: bool,
+    /// A later, non-adjacent layer reads it (shortcut mining can serve it).
+    nonadjacent: bool,
+    /// The policy saves traffic by keeping it on chip.
+    worth_keeping: bool,
+}
+
+/// How a struck site is named in an `Unrecoverable` error, and the fault
+/// plane its DUEs and recoveries are counted under.
+fn due_site(site: FaultSite) -> (&'static str, Plane) {
+    match site {
+        FaultSite::WeightSram => ("weight SRAM", Plane::Data),
+        FaultSite::PeArray => ("PE array", Plane::Compute),
+        FaultSite::BcuTable { .. } => ("BCU table", Plane::Control),
+        FaultSite::Scheduler { .. } => ("scheduler state", Plane::Scheduler),
+    }
+}
+
+/// The error for an operand whose feature map is not tracked.
+fn not_live(layer: usize, fm: usize) -> SimError {
+    SimError::Invariant {
+        layer,
+        message: format!("operand fm {fm} is not live"),
+    }
+}
+
 /// Options controlling one simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimOptions {
@@ -147,9 +205,10 @@ impl SimOptions {
 ///
 /// Executes a network under a [`Policy`] over the logical-buffer pool of an
 /// [`AccelConfig`], producing the same [`RunStats`] the baseline produces
-/// plus a residency [`Trace`]. Per-layer tile schedules are identical to the
-/// baseline's (same planner, same capacities), so any traffic difference is
-/// attributable purely to cross-layer reuse.
+/// plus a residency [`Trace`]. Per-layer costs come from the same
+/// [`sm_accel::run::layer_work`] the baseline uses (same planner, same
+/// capacities), so any traffic difference is attributable purely to
+/// cross-layer reuse.
 ///
 /// # Example
 ///
@@ -228,8 +287,7 @@ struct Sim<'a> {
     policy: Policy,
     net: &'a Network,
     bufs: LogicalBuffers,
-    fms: HashMap<usize, Resident>,
-    ledger: Ledger,
+    fms: Residency,
     trace: Trace,
     retention: Vec<RetentionRecord>,
     layer_traffic: Vec<(TrafficClass, u64)>,
@@ -237,6 +295,9 @@ struct Sim<'a> {
     checked: bool,
     injector: Option<FaultInjector>,
     faults: FaultStats,
+    /// DUEs admitted in the current site-fault or scheduler-fault pass,
+    /// checked against the plan's retry budget.
+    layer_dues: u32,
     /// Last consistent layer-boundary snapshot of scheduler metadata;
     /// `None` until the first boundary completes, which is why a strike on
     /// the very first layer falls back to `RecomputeLayer`.
@@ -254,27 +315,10 @@ impl<'a> Sim<'a> {
         let injector = options.faults.as_ref().filter(|p| p.is_active()).map(|p| {
             FaultInjector::new(p, cfg.sram.fm_pool.bank_count, net.len().saturating_sub(1))
         });
-        let mut sim = Sim {
-            cfg,
-            policy,
-            net,
-            bufs: LogicalBuffers::new(cfg.sram.fm_pool),
-            fms: HashMap::new(),
-            ledger: Ledger::new(),
-            trace: Trace::default(),
-            retention: Vec::new(),
-            layer_traffic: Vec::new(),
-            copy_penalty_bytes: 0,
-            checked: options.checked,
-            injector,
-            faults: FaultStats::default(),
-            checkpoint: None,
-            budget_used: BudgetUse::default(),
-            spill_flip: false,
-        };
+        let mut fms = Residency::new(net.len());
         // The network input starts fully in DRAM.
         let input = net.input();
-        sim.fms.insert(
+        fms.insert(
             0,
             Resident {
                 buffer: None,
@@ -285,23 +329,28 @@ impl<'a> Sim<'a> {
                 remaining_consumers: net.consumers(input.id).len(),
             },
         );
-        sim
+        Sim {
+            cfg,
+            policy,
+            net,
+            bufs: LogicalBuffers::new(cfg.sram.fm_pool),
+            fms,
+            trace: Trace::default(),
+            retention: Vec::new(),
+            layer_traffic: Vec::new(),
+            copy_penalty_bytes: 0,
+            checked: options.checked,
+            injector,
+            faults: FaultStats::default(),
+            layer_dues: 0,
+            checkpoint: None,
+            budget_used: BudgetUse::default(),
+            spill_flip: false,
+        }
     }
 
     fn elem(&self) -> u64 {
         self.cfg.elem_bytes
-    }
-
-    /// Tile capacities — identical to the baseline's, so per-layer schedules
-    /// match and only cross-layer reuse differs.
-    fn tile_caps(&self) -> TileCaps {
-        let fixed = self.cfg.sram.as_fixed();
-        TileCaps {
-            ifm_bytes: fixed.ifm_half(),
-            ofm_bytes: fixed.ofm_half(),
-            weight_tile_bytes: fixed.weight_half(),
-            weight_total_bytes: fixed.weight_bytes,
-        }
     }
 
     fn record(&mut self, class: TrafficClass, bytes: u64) {
@@ -310,66 +359,60 @@ impl<'a> Sim<'a> {
         }
     }
 
+    /// Unpins and frees a logical buffer, returning its banks to the pool.
+    fn release(&mut self, buffer: LogicalBufferId) -> Result<(), SimError> {
+        self.bufs.unpin(buffer)?;
+        self.bufs.free(buffer)?;
+        Ok(())
+    }
+
     fn run(mut self) -> Result<SmRun, SimError> {
-        let fm_dram = DramModel::new(self.cfg.fm_dram);
-        let w_dram = DramModel::new(self.cfg.weight_dram);
-        let mut layers = Vec::with_capacity(self.net.len());
-        let mut total_cycles = 0u64;
-        let mut total_macs = 0u64;
+        let net = self.net;
+        let mut run = RunBuilder::new(&self.cfg, net);
         let mut prev_ledger_total = 0u64;
 
-        let all_layers: Vec<Layer> = self.net.layers()[1..].to_vec();
-        for layer in &all_layers {
+        for layer in &net.layers()[1..] {
+            let lid = layer.id.index();
             self.layer_traffic.clear();
             self.copy_penalty_bytes = 0;
             // Snapshot the run-wide fault counters so this layer's share of
             // retry stalls and DUE strikes can be attributed to it by diff
             // (the injector increments the global counters in place).
             let faults_before = self.faults;
-            self.apply_layer_faults(layer.id.index())?;
-            let compute = self.run_layer(layer)?;
+            self.apply_layer_faults(lid)?;
+            let compute = self.run_layer(layer)?.compute_cycles;
 
-            // Drain the layer's traffic into the ledger, playing each
-            // transfer through the DRAM fault model when one is active.
-            // Failed attempts re-transfer the same bytes (recorded under
-            // `Retry`) and stall the pipeline with linear backoff.
+            // Drain the layer's traffic, playing each transfer through the
+            // DRAM fault model when one is active. Failed attempts
+            // re-transfer the same bytes (recorded under `Retry`) and stall
+            // the pipeline with linear backoff.
             let mut traffic = ClassTotals::new();
-            let (mut fm_bytes, mut w_bytes) = (0u64, 0u64);
-            let (mut retry_fm, mut retry_w) = (0u64, 0u64);
-            let mut stall_cycles = 0u64;
-            let drained = std::mem::take(&mut self.layer_traffic);
-            for &(class, bytes) in &drained {
-                self.ledger.record(layer.id.index(), class, bytes);
+            let mut cost = FaultCost::default();
+            for (class, bytes) in std::mem::take(&mut self.layer_traffic) {
                 traffic.record(class, bytes);
-                if class.is_feature_map() {
-                    fm_bytes += bytes;
-                } else {
-                    w_bytes += bytes;
-                }
-                if let Some(inj) = self.injector.as_mut() {
-                    match inj.transfer_attempts() {
-                        Ok((0, _)) => {}
-                        Ok((failed, stall)) => {
-                            let re = bytes.saturating_mul(failed as u64);
-                            self.ledger
-                                .record(layer.id.index(), TrafficClass::Retry, re);
-                            traffic.record(TrafficClass::Retry, re);
-                            if class.is_feature_map() {
-                                retry_fm += re;
-                            } else {
-                                retry_w += re;
-                            }
-                            stall_cycles += stall;
-                            self.faults.dram_retries += failed as u64;
-                            self.faults.retry_stall_cycles += stall;
+                let Some(inj) = self.injector.as_mut() else {
+                    continue;
+                };
+                match inj.transfer_attempts() {
+                    Ok((0, _)) => {}
+                    Ok((failed, stall)) => {
+                        let re = bytes.saturating_mul(failed as u64);
+                        traffic.record(TrafficClass::Retry, re);
+                        if class.is_feature_map() {
+                            cost.fm_retry_bytes += re;
+                        } else {
+                            cost.weight_retry_bytes += re;
                         }
-                        Err((attempts, _)) => {
-                            return Err(SimError::RetryExhausted {
-                                layer: layer.id.index(),
-                                class,
-                                attempts,
-                            });
-                        }
+                        cost.stall_cycles += stall;
+                        self.faults.dram_retries += failed as u64;
+                        self.faults.retry_stall_cycles += stall;
+                    }
+                    Err((attempts, _)) => {
+                        return Err(SimError::RetryExhausted {
+                            layer: lid,
+                            class,
+                            attempts,
+                        });
                     }
                 }
             }
@@ -379,68 +422,35 @@ impl<'a> Sim<'a> {
             // shadow-copy rebuild; multi-bit DUEs go through the recovery
             // policy; unprotected strikes corrupt silently and are only
             // visible to the value checker.
-            let (site_compute, site_overhead, site_retry_w, site_retry_fm) =
-                self.apply_site_faults(layer, compute, w_bytes, &mut traffic)?;
-            retry_w += site_retry_w;
-            retry_fm += site_retry_fm;
+            self.apply_site_faults(layer, compute, &mut traffic, &mut cost)?;
             // Scheduler-state strikes land at the layer boundary, after the
             // layer's own work is known (a rollback replays exactly it).
-            let (sched_compute, sched_overhead, sched_retry_fm) =
-                self.apply_scheduler_faults(layer, compute, &mut traffic)?;
-            retry_fm += sched_retry_fm;
+            self.apply_scheduler_faults(layer, compute, &mut traffic, &mut cost)?;
 
             let copy_cycles = self
                 .copy_penalty_bytes
                 .div_ceil(COPY_BYTES_PER_CYCLE.max(1));
-            let cycles = LayerCycles::combine(
-                compute + copy_cycles + site_compute + sched_compute,
-                dram_cycles(&fm_dram, fm_bytes + retry_fm),
-                dram_cycles(&w_dram, w_bytes + retry_w),
-                self.cfg.layer_overhead + stall_cycles + site_overhead + sched_overhead,
+            let report = run.push(layer, compute + copy_cycles, traffic, cost);
+            report.perf = report.perf.with_faults(
+                self.faults.retry_stall_cycles - faults_before.retry_stall_cycles,
+                copy_cycles,
+                self.faults.due_events - faults_before.due_events,
             );
-            total_cycles += cycles.total;
-            let macs = layer.macs(&self.net.in_shapes(layer.id));
-            total_macs += macs;
-            layers.push(LayerReport {
-                id: layer.id.index(),
-                name: layer.name.clone(),
-                kind: layer.kind.mnemonic(),
-                cycles,
-                traffic,
-                macs,
-                perf: LayerPerfSummary::from_cycles(cycles).with_faults(
-                    self.faults.retry_stall_cycles - faults_before.retry_stall_cycles,
-                    copy_cycles,
-                    self.faults.due_events - faults_before.due_events,
-                ),
-            });
             debug_assert!(self.bufs.check_invariants(), "buffer invariant violated");
             if self.checked {
-                self.check_layer_invariants(layer.id.index(), prev_ledger_total)?;
+                self.check_layer_invariants(lid, run.ledger(), prev_ledger_total)?;
             }
-            prev_ledger_total = self.ledger.total_bytes();
+            prev_ledger_total = run.ledger().total_bytes();
             // Snapshot the scheduler metadata at the boundary: pure
             // bookkeeping over a handful of records, so no traffic or
             // cycles are charged.
             if self.injector.is_some() {
-                self.checkpoint = Some(self.take_checkpoint(layer.id.index()));
+                self.checkpoint = Some(self.take_checkpoint(lid));
             }
         }
 
-        let stats = RunStats {
-            network: self.net.name().to_string(),
-            batch: self.net.input().out_shape.n,
-            architecture: self.policy.label().to_string(),
-            total_cycles,
-            macs: total_macs,
-            ledger: self.ledger,
-            layers,
-            buffer_stats: self.bufs.stats(),
-            faults: self.faults,
-            clock_hz: self.cfg.clock_hz,
-        };
         Ok(SmRun {
-            stats,
+            stats: run.finish(self.policy.label(), Some(self.bufs.stats()), self.faults),
             trace: self.trace,
             retention: self.retention,
         })
@@ -454,80 +464,118 @@ impl<'a> Sim<'a> {
         let Some(mut inj) = self.injector.take() else {
             return Ok(());
         };
-        let elem = self.elem();
         for bank in inj.banks_failing_at(lid) {
-            match self.bufs.revoke_bank(bank)? {
-                Revocation::WasFree => {
-                    self.faults.banks_failed += 1;
-                }
-                Revocation::Evicted {
-                    owner,
-                    evicted_bytes,
-                } => {
-                    self.faults.banks_failed += 1;
-                    self.faults.evicted_bytes += evicted_bytes;
-                    self.record(TrafficClass::SpillWrite, evicted_bytes);
-                    // Shrink the residency of whatever feature map lived in
-                    // the evacuated buffer (sorted scan: deterministic).
-                    let mut keys: Vec<usize> = self.fms.keys().copied().collect();
-                    keys.sort_unstable();
-                    for fm in keys {
-                        let Some(r) = self.fms.get_mut(&fm) else {
-                            continue;
-                        };
-                        if r.buffer != Some(owner) {
-                            continue;
-                        }
-                        let evicted = (evicted_bytes / elem).min(r.resident_elems);
-                        r.resident_elems -= evicted;
-                        r.dram_suffix_elems = (r.dram_suffix_elems + evicted).min(r.total_elems);
-                        r.spilled_elems = (r.spilled_elems + evicted).min(r.dram_suffix_elems);
-                        let new_resident = r.resident_elems;
-                        let empty = self
-                            .bufs
-                            .buffer(owner)
-                            .map(|b| b.banks().is_empty())
-                            .unwrap_or(false);
-                        if empty {
-                            r.buffer = None;
-                            self.bufs.unpin(owner)?;
-                            self.bufs.free(owner)?;
-                        }
-                        self.trace.events.push(TraceEvent::Spill {
-                            fm,
-                            new_resident_elems: new_resident,
-                        });
-                        break;
-                    }
+            let revocation = self.bufs.revoke_bank(bank)?;
+            self.faults.banks_failed += 1;
+            if let Revocation::Evicted {
+                owner,
+                evicted_bytes,
+            } = revocation
+            {
+                self.faults.evicted_bytes += evicted_bytes;
+                self.record(TrafficClass::SpillWrite, evicted_bytes);
+                // Shrink the residency of whatever feature map lived in the
+                // evacuated buffer.
+                let fm = self
+                    .fms
+                    .iter()
+                    .find(|(_, r)| r.buffer == Some(owner))
+                    .map(|(fm, _)| fm);
+                if let Some(fm) = fm {
+                    self.evict(fm, owner, evicted_bytes)?;
                 }
             }
         }
-        if inj.corruption_strikes() {
-            let mut keys: Vec<usize> = self.fms.keys().copied().collect();
-            keys.sort_unstable();
-            // Candidates whose prefix overlaps their DRAM suffix: that
-            // overlap can be dropped without losing data.
-            let candidates: Vec<usize> = keys
-                .into_iter()
-                .filter(|k| {
-                    let r = &self.fms[k];
-                    r.resident_elems + r.dram_suffix_elems > r.total_elems
-                })
-                .collect();
-            if !candidates.is_empty() {
-                let fm = candidates[inj.pick(candidates.len())];
-                if let Some(r) = self.fms.get_mut(&fm) {
-                    r.resident_elems = r.total_elems - r.dram_suffix_elems;
-                    self.faults.corruptions += 1;
-                    self.trace.events.push(TraceEvent::Spill {
-                        fm,
-                        new_resident_elems: r.resident_elems,
-                    });
-                }
-            }
+        if inj.corruption_strikes() && self.drop_overlap(|n| inj.pick(n)) {
+            self.faults.corruptions += 1;
         }
         self.injector = Some(inj);
         Ok(())
+    }
+
+    /// Moves `evicted_bytes` of `fm`'s resident prefix, just evacuated from
+    /// its `buffer`, to DRAM, and releases the buffer once it has no banks
+    /// left.
+    fn evict(
+        &mut self,
+        fm: usize,
+        buffer: LogicalBufferId,
+        evicted_bytes: u64,
+    ) -> Result<(), SimError> {
+        let elem = self.elem();
+        let empty = self.bufs.buffer(buffer).is_ok_and(|b| b.banks().is_empty());
+        let Some(r) = self.fms.get_mut(fm) else {
+            return Ok(());
+        };
+        let evicted = (evicted_bytes / elem).min(r.resident_elems);
+        r.resident_elems -= evicted;
+        r.dram_suffix_elems = (r.dram_suffix_elems + evicted).min(r.total_elems);
+        r.spilled_elems = (r.spilled_elems + evicted).min(r.dram_suffix_elems);
+        let new_resident_elems = r.resident_elems;
+        if empty {
+            r.buffer = None;
+            self.release(buffer)?;
+        }
+        self.trace.events.push(TraceEvent::Spill {
+            fm,
+            new_resident_elems,
+        });
+        Ok(())
+    }
+
+    /// Shrinks one feature map's on-chip prefix to where its DRAM suffix
+    /// begins: lossless, since the dropped overlap is also in DRAM.
+    /// `choose` picks among the maps with such an overlap (in fm order) and
+    /// is called only when one exists. Returns whether a map shrank.
+    fn drop_overlap(&mut self, choose: impl FnOnce(usize) -> usize) -> bool {
+        let candidates: Vec<usize> = self
+            .fms
+            .iter()
+            .filter(|(_, r)| r.resident_elems + r.dram_suffix_elems > r.total_elems)
+            .map(|(fm, _)| fm)
+            .collect();
+        if candidates.is_empty() {
+            return false;
+        }
+        let fm = candidates[choose(candidates.len())];
+        let Some(r) = self.fms.get_mut(fm) else {
+            return false;
+        };
+        r.resident_elems = r.total_elems - r.dram_suffix_elems;
+        self.trace.events.push(TraceEvent::Spill {
+            fm,
+            new_resident_elems: r.resident_elems,
+        });
+        true
+    }
+
+    /// Classifies a strike by the protection of the struck storage, and
+    /// counts it as silent, parity-detected or ECC-corrected. A DUE
+    /// (`Uncorrectable`) is left to the caller's recovery path.
+    fn classify(&mut self, protection: Protection, width: StrikeWidth) -> FaultOutcome {
+        match (protection, width) {
+            // A 3+-bit strike is wide enough to alias past SECDED.
+            (Protection::None, _) | (Protection::Ecc, StrikeWidth::TriplePlus) => {
+                self.faults.silent_faults += 1;
+                FaultOutcome::Silent
+            }
+            (Protection::Parity, _) => {
+                self.faults.parity_detections += 1;
+                FaultOutcome::Detected
+            }
+            (Protection::Ecc, StrikeWidth::Single) => {
+                self.faults.ecc_corrections += 1;
+                FaultOutcome::Corrected
+            }
+            (Protection::Ecc, StrikeWidth::Double) => FaultOutcome::Uncorrectable,
+        }
+    }
+
+    /// Charges one retry-backoff stall to the layer and the run.
+    fn retry_stall(&mut self, inj: &FaultInjector, cost: &mut FaultCost) {
+        let stall = inj.retry_stall_cycles();
+        cost.stall_cycles += stall;
+        self.faults.retry_stall_cycles += stall;
     }
 
     /// Plays one layer's weight-SRAM / PE-array / BCU-table site faults
@@ -537,8 +585,7 @@ impl<'a> Sim<'a> {
     /// plus a stall; lane recompute as extra compute cycles; table rebuild
     /// from a shadow copy at a stall), routes multi-bit DUEs through the
     /// recovery policy, and records silent strikes in the trace for the
-    /// functional checker. Returns
-    /// `(extra_compute, extra_overhead, retry_weight_bytes, retry_fm_bytes)`.
+    /// functional checker. Adds the extra work to `cost`.
     ///
     /// # Errors
     ///
@@ -549,21 +596,18 @@ impl<'a> Sim<'a> {
         &mut self,
         layer: &Layer,
         compute: u64,
-        w_bytes: u64,
         traffic: &mut ClassTotals,
-    ) -> Result<(u64, u64, u64, u64), SimError> {
+        cost: &mut FaultCost,
+    ) -> Result<(), SimError> {
         let Some(mut inj) = self.injector.take() else {
-            return Ok((0, 0, 0, 0));
+            return Ok(());
         };
         let lid = layer.id.index();
+        let w_bytes = traffic.class(TrafficClass::WeightRead);
         let lanes = (self.cfg.pe_rows * self.cfg.pe_cols).max(1) as u64;
         let draw = inj.layer_site_faults();
-        let mut extra_compute = 0u64;
-        let mut extra_overhead = 0u64;
-        let mut retry_w = 0u64;
-        let mut retry_fm = 0u64;
-        let mut layer_dues = 0u32;
-        let out_buffer = self.fms.get(&lid).and_then(|r| r.buffer);
+        self.layer_dues = 0;
+        let out_buffer = self.fms.get(lid).and_then(|r| r.buffer);
         let table = sm_buffer::bcu::BcuCost::estimate(self.cfg.sram.fm_pool, BCU_TABLE_BUFFERS);
 
         // ECC taxes every protected access, strike or not: the check logic
@@ -572,82 +616,50 @@ impl<'a> Sim<'a> {
         // routes a live output buffer.
         if inj.weight_protection() == Protection::Ecc && w_bytes > 0 {
             self.faults.ecc_bytes += w_bytes;
-            extra_overhead += ecc_check_cycles(w_bytes);
+            cost.stall_cycles += ecc_check_cycles(w_bytes);
         }
         if inj.pe_protection() == Protection::Ecc && compute > 0 {
-            extra_overhead += ecc_compute_tax_cycles(compute);
+            cost.stall_cycles += ecc_compute_tax_cycles(compute);
         }
         if inj.bcu_protection() == Protection::Ecc && out_buffer.is_some() {
             self.faults.ecc_bytes += table.table_bytes();
-            extra_overhead += ecc_check_cycles(table.table_bytes());
+            cost.stall_cycles += ecc_check_cycles(table.table_bytes());
         }
 
         if draw.weight_struck && w_bytes > 0 {
             self.faults.weight_faults += 1;
+            let site = FaultSite::WeightSram;
+            let outcome = self.classify(inj.weight_protection(), draw.weight_width);
             let mut recovery = None;
-            let outcome = match inj.weight_protection() {
-                Protection::None => {
-                    self.faults.silent_faults += 1;
-                    FaultOutcome::Silent
-                }
-                Protection::Parity => {
-                    self.faults.parity_detections += 1;
-                    // Detected but not correctable: refetch the layer's
-                    // weights from DRAM and stall for the turnaround.
-                    self.ledger.record(lid, TrafficClass::Retry, w_bytes);
-                    traffic.record(TrafficClass::Retry, w_bytes);
-                    retry_w += w_bytes;
-                    let stall = inj.retry_stall_cycles();
-                    extra_overhead += stall;
-                    self.faults.retry_stall_cycles += stall;
-                    FaultOutcome::Detected
-                }
-                Protection::Ecc => match draw.weight_width {
-                    StrikeWidth::Single => {
-                        self.faults.ecc_corrections += 1;
-                        FaultOutcome::Corrected
-                    }
-                    StrikeWidth::TriplePlus => {
-                        // Wide enough to alias past SECDED: silent.
-                        self.faults.silent_faults += 1;
-                        FaultOutcome::Silent
-                    }
-                    StrikeWidth::Double => {
-                        self.check_due_budget(
-                            lid,
-                            "weight SRAM",
-                            Plane::Data,
-                            inj.recovery_policy(),
-                            &inj,
-                            &mut layer_dues,
-                        )?;
-                        // Weights are primary inputs with no on-chip
-                        // producer, so every recovery policy restores them
-                        // the same way — refetch from DRAM — and the
-                        // escalation budgets don't apply.
-                        self.ledger.record(lid, TrafficClass::Retry, w_bytes);
-                        traffic.record(TrafficClass::Retry, w_bytes);
-                        retry_w += w_bytes;
-                        let stall = inj.retry_stall_cycles();
-                        extra_overhead += stall;
-                        self.faults.retry_stall_cycles += stall;
-                        self.faults.recovered_refetch += 1;
-                        *self.faults.recovered_per_plane.slot(Plane::Data) += 1;
-                        recovery = Some(TraceEvent::Recovery {
-                            layer: lid,
-                            site: FaultSite::WeightSram,
-                            action: RecoveryAction::Refetched,
-                            retry_bytes: w_bytes,
-                            compute_cycles: 0,
-                        });
-                        FaultOutcome::Uncorrectable
-                    }
-                },
-            };
+            if outcome == FaultOutcome::Uncorrectable {
+                self.check_due_budget(lid, site, inj.recovery_policy(), &inj)?;
+                // Weights are primary inputs with no on-chip producer, so
+                // every recovery policy restores them the same way — refetch
+                // from DRAM — and the escalation budgets don't apply.
+                self.faults.recovered_refetch += 1;
+                *self.faults.recovered_per_plane.slot(due_site(site).1) += 1;
+                recovery = Some(TraceEvent::Recovery {
+                    layer: lid,
+                    site,
+                    action: RecoveryAction::Refetched,
+                    retry_bytes: w_bytes,
+                    compute_cycles: 0,
+                });
+            }
+            if matches!(
+                outcome,
+                FaultOutcome::Detected | FaultOutcome::Uncorrectable
+            ) {
+                // Detected but not corrected: refetch the layer's weights
+                // from DRAM and stall for the turnaround.
+                traffic.record(TrafficClass::Retry, w_bytes);
+                cost.weight_retry_bytes += w_bytes;
+                self.retry_stall(&inj, cost);
+            }
             let words = w_bytes.div_ceil(8).max(1);
             self.trace.events.push(TraceEvent::Fault {
                 layer: lid,
-                site: FaultSite::WeightSram,
+                site,
                 unit: draw.weight_word % words,
                 outcome,
             });
@@ -655,26 +667,15 @@ impl<'a> Sim<'a> {
         }
         if draw.pe_struck && compute > 0 {
             self.faults.pe_faults += 1;
-            let outcome = match inj.pe_protection() {
-                Protection::None => {
-                    self.faults.silent_faults += 1;
-                    FaultOutcome::Silent
-                }
-                Protection::Parity => {
-                    self.faults.parity_detections += 1;
-                    // Recompute the struck lane's output share with the
-                    // whole array once the bad results are discarded.
-                    extra_compute += compute.div_ceil(lanes);
-                    FaultOutcome::Detected
-                }
-                // The PE array is residue-checked logic, not stored state:
-                // a strike is caught per-MAC regardless of its bit width,
-                // so ECC always corrects here.
-                Protection::Ecc => {
-                    self.faults.ecc_corrections += 1;
-                    FaultOutcome::Corrected
-                }
-            };
+            // The PE array is residue-checked logic, not stored state: a
+            // strike is caught per-MAC regardless of its bit width, so ECC
+            // always corrects here.
+            let outcome = self.classify(inj.pe_protection(), StrikeWidth::Single);
+            if outcome == FaultOutcome::Detected {
+                // Recompute the struck lane's output share with the whole
+                // array once the bad results are discarded.
+                cost.compute_cycles += compute.div_ceil(lanes);
+            }
             self.trace.events.push(TraceEvent::Fault {
                 layer: lid,
                 site: FaultSite::PeArray,
@@ -682,102 +683,59 @@ impl<'a> Sim<'a> {
                 outcome,
             });
         }
-        if draw.bcu_struck {
-            if let Some(buffer) = out_buffer {
-                self.faults.bcu_faults += 1;
-                let site = FaultSite::BcuTable { buffer: buffer.0 };
-                let mut recovery = None;
-                let outcome = match inj.bcu_protection() {
-                    Protection::None => {
-                        // The mapping entry now routes the output buffer to
-                        // the wrong bank: every later read of this feature
-                        // map — possibly a junction many layers downstream —
-                        // sees wrong data. Only the value replay can tell.
-                        self.faults.silent_faults += 1;
-                        FaultOutcome::Silent
-                    }
-                    Protection::Parity => {
-                        // Detected on the next table read and rebuilt from
-                        // the allocator's shadow copy: one stall, no
-                        // traffic, values intact.
-                        self.faults.parity_detections += 1;
-                        let stall = inj.retry_stall_cycles();
-                        extra_overhead += stall;
-                        self.faults.retry_stall_cycles += stall;
-                        FaultOutcome::Detected
-                    }
-                    Protection::Ecc => match draw.bcu_width {
-                        StrikeWidth::Single => {
-                            self.faults.ecc_corrections += 1;
-                            FaultOutcome::Corrected
-                        }
-                        StrikeWidth::TriplePlus => {
-                            self.faults.silent_faults += 1;
-                            FaultOutcome::Silent
-                        }
-                        StrikeWidth::Double => {
-                            let eff = self.effective_policy(&inj);
-                            self.check_due_budget(
-                                lid,
-                                "BCU table",
-                                Plane::Control,
-                                eff,
-                                &inj,
-                                &mut layer_dues,
-                            )?;
-                            let (action, retry_bytes) =
-                                self.recover_due(layer, traffic, eff, Plane::Control);
-                            retry_fm += retry_bytes;
-                            extra_compute += compute;
-                            if action == RecoveryAction::Refetched {
-                                let stall = inj.retry_stall_cycles();
-                                extra_overhead += stall;
-                                self.faults.retry_stall_cycles += stall;
-                            }
-                            recovery = Some(TraceEvent::Recovery {
-                                layer: lid,
-                                site,
-                                action,
-                                retry_bytes,
-                                compute_cycles: compute,
-                            });
-                            FaultOutcome::Uncorrectable
-                        }
-                    },
-                };
-                self.trace.events.push(TraceEvent::Fault {
-                    layer: lid,
-                    site,
-                    unit: draw.bcu_entry % table.table_entries.max(1),
-                    outcome,
-                });
-                self.trace.events.extend(recovery);
-            }
+        if let Some(buffer) = out_buffer.filter(|_| draw.bcu_struck) {
+            self.faults.bcu_faults += 1;
+            let site = FaultSite::BcuTable { buffer: buffer.0 };
+            // Unprotected, the mapping entry now routes the output buffer to
+            // the wrong bank: every later read of this feature map — possibly
+            // a junction many layers downstream — sees wrong data. Only the
+            // value replay can tell.
+            let outcome = self.classify(inj.bcu_protection(), draw.bcu_width);
+            let recovery = match outcome {
+                // Parity: detected on the next table read and rebuilt from
+                // the allocator's shadow copy — one stall, no traffic,
+                // values intact.
+                FaultOutcome::Detected => {
+                    self.retry_stall(&inj, cost);
+                    None
+                }
+                FaultOutcome::Uncorrectable => {
+                    Some(self.recover_due(&inj, layer, compute, site, traffic, cost)?)
+                }
+                _ => None,
+            };
+            self.trace.events.push(TraceEvent::Fault {
+                layer: lid,
+                site,
+                unit: draw.bcu_entry % table.table_entries.max(1),
+                outcome,
+            });
+            self.trace.events.extend(recovery);
         }
         self.injector = Some(inj);
-        Ok((extra_compute, extra_overhead, retry_w, retry_fm))
+        Ok(())
     }
 
     /// Admits one more DUE at this layer, or refuses: `Abort` (whether
     /// configured or reached by budget escalation) never recovers, and
     /// recoveries past the plan's retry budget fail the run the same way an
-    /// exhausted DRAM transfer does. Counts the DUE against `plane`.
+    /// exhausted DRAM transfer does. Counts the DUE against its site's
+    /// plane.
     fn check_due_budget(
         &mut self,
         lid: usize,
-        site: &str,
-        plane: Plane,
+        site: FaultSite,
         policy: RecoveryPolicy,
         inj: &FaultInjector,
-        layer_dues: &mut u32,
     ) -> Result<(), SimError> {
+        let (name, plane) = due_site(site);
         self.faults.due_events += 1;
         *self.faults.due_per_plane.slot(plane) += 1;
-        *layer_dues += 1;
-        if policy == RecoveryPolicy::Abort || *layer_dues > inj.max_retries() {
+        self.layer_dues += 1;
+        if policy == RecoveryPolicy::Abort || self.layer_dues > inj.max_retries() {
             return Err(SimError::Unrecoverable {
                 layer: lid,
-                site: site.to_string(),
+                site: name.to_string(),
             });
         }
         Ok(())
@@ -815,9 +773,12 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Repairs a DUE by re-executing the producing layer (the current one).
-    /// Returns the action taken and the operand bytes re-streamed from
-    /// DRAM as `Retry` traffic:
+    /// Recovers a DUE in state that re-executing the current layer restores
+    /// (the BCU table, scheduler metadata): admits it against the retry
+    /// budget under the budget-resolved policy, repairs it, and charges the
+    /// replay — the layer's compute again, the operand bytes re-streamed
+    /// from DRAM as `Retry` traffic, and a stall for a refetch. Returns the
+    /// recovery trace event.
     ///
     /// * `RefetchTile` conservatively re-DMAs *every* operand byte of the
     ///   layer, resident or not.
@@ -836,17 +797,16 @@ impl<'a> Sim<'a> {
     ///   `RecomputeLayer` accounting.
     fn recover_due(
         &mut self,
+        inj: &FaultInjector,
         layer: &Layer,
+        compute: u64,
+        site: FaultSite,
         traffic: &mut ClassTotals,
-        policy: RecoveryPolicy,
-        plane: Plane,
-    ) -> (RecoveryAction, u64) {
+        cost: &mut FaultCost,
+    ) -> Result<TraceEvent, SimError> {
         let lid = layer.id.index();
-        let recompute_bytes = |traffic: &ClassTotals| {
-            traffic.class(TrafficClass::IfmRead)
-                + traffic.class(TrafficClass::ShortcutRead)
-                + traffic.class(TrafficClass::SpillRead)
-        };
+        let policy = self.effective_policy(inj);
+        self.check_due_budget(lid, site, policy, inj)?;
         let rollback_ready = self
             .checkpoint
             .as_ref()
@@ -863,7 +823,12 @@ impl<'a> Sim<'a> {
             RecoveryPolicy::Checkpoint | RecoveryPolicy::RecomputeLayer => {
                 self.faults.recovered_recompute += 1;
                 self.budget_used.recomputes += 1;
-                (RecoveryAction::Recomputed, recompute_bytes(traffic))
+                (
+                    RecoveryAction::Recomputed,
+                    traffic.class(TrafficClass::IfmRead)
+                        + traffic.class(TrafficClass::ShortcutRead)
+                        + traffic.class(TrafficClass::SpillRead),
+                )
             }
             RecoveryPolicy::RefetchTile | RecoveryPolicy::Abort => {
                 self.faults.recovered_refetch += 1;
@@ -877,22 +842,30 @@ impl<'a> Sim<'a> {
                 (RecoveryAction::Refetched, all_operand_bytes)
             }
         };
-        *self.faults.recovered_per_plane.slot(plane) += 1;
-        if retry_bytes > 0 {
-            self.ledger.record(lid, TrafficClass::Retry, retry_bytes);
-            traffic.record(TrafficClass::Retry, retry_bytes);
+        *self.faults.recovered_per_plane.slot(due_site(site).1) += 1;
+        traffic.record(TrafficClass::Retry, retry_bytes);
+        cost.fm_retry_bytes += retry_bytes;
+        cost.compute_cycles += compute;
+        if action == RecoveryAction::Refetched {
+            self.retry_stall(inj, cost);
         }
-        (action, retry_bytes)
+        Ok(TraceEvent::Recovery {
+            layer: lid,
+            site,
+            action,
+            retry_bytes,
+            compute_cycles: compute,
+        })
     }
 
     /// Builds the layer-boundary snapshot of scheduler metadata: one entry
     /// per live feature map plus its buffer's pin label, sealed with the
     /// consistency hash rollback verifies.
     fn take_checkpoint(&self, layer: usize) -> SchedCheckpoint {
-        let mut entries: Vec<(usize, u64, u64, u64, bool)> = self
+        let entries: Vec<(usize, u64, u64, u64, bool)> = self
             .fms
             .iter()
-            .map(|(&fm, r)| {
+            .map(|(fm, r)| {
                 let pinned = r
                     .buffer
                     .and_then(|b| self.bufs.buffer(b).ok())
@@ -906,7 +879,6 @@ impl<'a> Sim<'a> {
                 )
             })
             .collect();
-        entries.sort_unstable();
         let hash = checkpoint_hash(&entries);
         SchedCheckpoint {
             layer,
@@ -933,7 +905,7 @@ impl<'a> Sim<'a> {
     ///   turnaround), double-bit DUEs go through the budget-resolved
     ///   recovery ladder, and 3+-bit strikes alias silently.
     ///
-    /// Returns `(extra_compute, extra_overhead, retry_fm_bytes)`.
+    /// Adds the extra work to `cost`.
     ///
     /// # Errors
     ///
@@ -944,15 +916,13 @@ impl<'a> Sim<'a> {
         layer: &Layer,
         compute: u64,
         traffic: &mut ClassTotals,
-    ) -> Result<(u64, u64, u64), SimError> {
+        cost: &mut FaultCost,
+    ) -> Result<(), SimError> {
         let Some(mut inj) = self.injector.take() else {
-            return Ok((0, 0, 0));
+            return Ok(());
         };
-        let lid = layer.id.index();
         let draw = inj.layer_scheduler_faults();
-        let mut extra_compute = 0u64;
-        let mut extra_overhead = 0u64;
-        let mut retry_fm = 0u64;
+        self.layer_dues = 0;
         if draw.struck {
             self.faults.scheduler_faults += 1;
             let structure = match draw.target % 3 {
@@ -962,65 +932,25 @@ impl<'a> Sim<'a> {
             };
             let site = FaultSite::Scheduler { structure };
             let unit = draw.index % self.scheduler_entries(structure);
-            let mut recovery = None;
-            let outcome = match inj.scheduler_protection() {
-                Protection::None => {
-                    self.faults.silent_faults += 1;
+            let outcome = self.classify(inj.scheduler_protection(), draw.width);
+            let recovery = match outcome {
+                FaultOutcome::Silent => {
                     self.corrupt_scheduler_state(structure, draw.index)?;
-                    FaultOutcome::Silent
+                    None
                 }
-                Protection::Parity => {
-                    self.faults.parity_detections += 1;
-                    let stall = inj.retry_stall_cycles();
-                    extra_overhead += stall;
-                    self.faults.retry_stall_cycles += stall;
-                    FaultOutcome::Detected
+                FaultOutcome::Detected => {
+                    self.retry_stall(&inj, cost);
+                    None
                 }
-                Protection::Ecc => match draw.width {
-                    StrikeWidth::Single => {
-                        self.faults.ecc_corrections += 1;
-                        FaultOutcome::Corrected
-                    }
-                    StrikeWidth::TriplePlus => {
-                        self.faults.silent_faults += 1;
-                        self.corrupt_scheduler_state(structure, draw.index)?;
-                        FaultOutcome::Silent
-                    }
-                    StrikeWidth::Double => {
-                        let eff = self.effective_policy(&inj);
-                        let mut layer_dues = 0u32;
-                        self.check_due_budget(
-                            lid,
-                            "scheduler state",
-                            Plane::Scheduler,
-                            eff,
-                            &inj,
-                            &mut layer_dues,
-                        )?;
-                        let (action, retry_bytes) =
-                            self.recover_due(layer, traffic, eff, Plane::Scheduler);
-                        retry_fm += retry_bytes;
-                        // Every tier replays the layer's own work after
-                        // restoring the metadata.
-                        extra_compute += compute;
-                        if action == RecoveryAction::Refetched {
-                            let stall = inj.retry_stall_cycles();
-                            extra_overhead += stall;
-                            self.faults.retry_stall_cycles += stall;
-                        }
-                        recovery = Some(TraceEvent::Recovery {
-                            layer: lid,
-                            site,
-                            action,
-                            retry_bytes,
-                            compute_cycles: compute,
-                        });
-                        FaultOutcome::Uncorrectable
-                    }
-                },
+                // Every tier replays the layer's own work after restoring
+                // the metadata.
+                FaultOutcome::Uncorrectable => {
+                    Some(self.recover_due(&inj, layer, compute, site, traffic, cost)?)
+                }
+                FaultOutcome::Corrected => None,
             };
             self.trace.events.push(TraceEvent::Fault {
-                layer: lid,
+                layer: layer.id.index(),
                 site,
                 unit,
                 outcome,
@@ -1028,14 +958,14 @@ impl<'a> Sim<'a> {
             self.trace.events.extend(recovery);
         }
         self.injector = Some(inj);
-        Ok((extra_compute, extra_overhead, retry_fm))
+        Ok(())
     }
 
     /// Entry count of one scheduler structure, for reducing a raw strike
     /// selector (never zero so the reduction is total).
     fn scheduler_entries(&self, structure: SchedStructure) -> u64 {
         let n = match structure {
-            SchedStructure::RetentionTable => self.fms.len() as u64,
+            SchedStructure::RetentionTable => self.fms.iter().count() as u64,
             SchedStructure::PinSet => self.bufs.iter().filter(|b| b.is_pinned()).count() as u64,
             // The victim-ordering state is a single direction bit.
             SchedStructure::SpillQueue => 1,
@@ -1054,40 +984,19 @@ impl<'a> Sim<'a> {
         match structure {
             SchedStructure::RetentionTable => {
                 // A retention record under-reports its resident prefix:
-                // droppable only where the prefix overlaps the DRAM suffix
-                // (the same lossless shrink residency corruption uses).
-                let mut keys: Vec<usize> = self.fms.keys().copied().collect();
-                keys.sort_unstable();
-                let candidates: Vec<usize> = keys
-                    .into_iter()
-                    .filter(|k| {
-                        let r = &self.fms[k];
-                        r.resident_elems + r.dram_suffix_elems > r.total_elems
-                    })
-                    .collect();
-                if candidates.is_empty() {
-                    return Ok(());
-                }
-                let fm = candidates[(index % candidates.len() as u64) as usize];
-                if let Some(r) = self.fms.get_mut(&fm) {
-                    r.resident_elems = r.total_elems - r.dram_suffix_elems;
-                    self.trace.events.push(TraceEvent::Spill {
-                        fm,
-                        new_resident_elems: r.resident_elems,
-                    });
-                }
+                // the same lossless shrink residency corruption uses.
+                self.drop_overlap(|n| (index % n as u64) as usize);
             }
             SchedStructure::PinSet => {
                 // A pin label flips off: the shortcut buffer keeps its data
                 // but loses its spill immunity. Values stay intact; the
-                // mining *decision* is gone.
-                let mut pinned: Vec<LogicalBufferId> = self
+                // mining *decision* is gone. Buffers iterate in id order.
+                let pinned: Vec<LogicalBufferId> = self
                     .bufs
                     .iter()
                     .filter(|b| b.is_pinned())
                     .map(|b| b.id())
                     .collect();
-                pinned.sort_unstable_by_key(|b| b.0);
                 if pinned.is_empty() {
                     return Ok(());
                 }
@@ -1104,7 +1013,12 @@ impl<'a> Sim<'a> {
     /// Checked-mode verification after one layer: bank accounting sums to
     /// the pool, the ledger is class-consistent and monotone, every tracked
     /// residency is within bounds, and liveness matches the schedule.
-    fn check_layer_invariants(&self, layer: usize, prev_total: u64) -> Result<(), SimError> {
+    fn check_layer_invariants(
+        &self,
+        layer: usize,
+        ledger: &Ledger,
+        prev_total: u64,
+    ) -> Result<(), SimError> {
         let fail = |message: String| Err(SimError::Invariant { layer, message });
         if !self.bufs.check_invariants() {
             return fail("bank pool conservation or ownership broken".to_string());
@@ -1119,19 +1033,16 @@ impl<'a> Sim<'a> {
                 pool.bank_count
             ));
         }
-        if let Err(m) = self.ledger.check_consistency() {
+        if let Err(m) = ledger.check_consistency() {
             return fail(m);
         }
-        if self.ledger.total_bytes() < prev_total {
+        if ledger.total_bytes() < prev_total {
             return fail(format!(
                 "ledger total regressed: {} < {prev_total}",
-                self.ledger.total_bytes()
+                ledger.total_bytes()
             ));
         }
-        let mut keys: Vec<usize> = self.fms.keys().copied().collect();
-        keys.sort_unstable();
-        for fm in keys {
-            let r = &self.fms[&fm];
+        for (fm, r) in self.fms.iter() {
             if r.resident_elems > r.total_elems {
                 return fail(format!(
                     "fm {fm}: resident {} exceeds total {}",
@@ -1170,101 +1081,62 @@ impl<'a> Sim<'a> {
     }
 
     /// Executes one layer: operand fetches, output allocation, write-back
-    /// and consumption bookkeeping. Returns the compute cycles.
-    fn run_layer(&mut self, layer: &Layer) -> Result<u64, SimError> {
-        let elem = self.elem();
-        let lanes = self.cfg.pe_rows * self.cfg.pe_cols;
-        let out_elems = layer.out_elems() as u64;
+    /// and consumption bookkeeping. Returns the layer's cost, which the
+    /// baseline would compute identically.
+    fn run_layer(&mut self, layer: &Layer) -> Result<LayerWork, SimError> {
+        match layer.kind {
+            LayerKind::Input => return Ok(LayerWork::default()),
+            LayerKind::EltwiseAdd { .. } => self.run_eltwise_add(layer)?,
+            LayerKind::ConcatChannels => self.run_concat(layer)?,
+            _ => return self.run_compute(layer),
+        }
+        let caps = self.cfg.tile_caps();
+        Ok(layer_work(&self.cfg, self.net, layer, caps)?)
+    }
 
-        let cycles = match layer.kind {
-            LayerKind::Input => 0,
-            LayerKind::Conv(_) => {
-                let dims =
-                    ConvDims::from_layer(self.net, layer).ok_or_else(|| AccelError::NotConv {
-                        layer: layer.name.clone(),
-                    })?;
-                let (buffer, resident) = self.allocate_output(layer, out_elems)?;
-                let mut caps = self.tile_caps();
-                if self.policy.adaptive_tiling {
-                    // Plan with what the controller actually granted: the
-                    // resident part of the input and the output buffer's
-                    // real capacity.
-                    let pid = layer.inputs[0].index();
-                    let in_resident = self.fms.get(&pid).map_or(0, |r| r.resident_elems * elem);
-                    caps.ifm_bytes = caps.ifm_bytes.max(in_resident);
-                    if let Some(b) = buffer {
-                        let ob_cap = self.bufs.capacity_bytes(b)?;
-                        caps.ofm_bytes = caps.ofm_bytes.max(ob_cap);
-                    }
-                }
-                let plan = plan_conv_cached(dims, caps, self.cfg.pe_rows, self.cfg.pe_cols, elem);
-                self.fetch_operand(layer, 0, Some(&plan))?;
-                self.record(TrafficClass::WeightRead, plan.weight_dram_bytes);
-                self.register_output(layer, buffer, resident, 0, 0)?;
-                self.consume_operands(layer, &[])?;
-                conv_compute_cycles(dims, plan.tm, plan.tn)
-            }
-            LayerKind::DepthwiseConv(spec) => {
-                let in_shape = self.net.in_shapes(layer.id)[0];
-                self.fetch_operand(layer, 0, None)?;
-                let w_bytes = (in_shape.c * spec.kernel * spec.kernel) as u64 * elem;
-                self.record(TrafficClass::WeightRead, w_bytes);
-                let (buffer, resident) = self.allocate_output(layer, out_elems)?;
-                self.register_output(layer, buffer, resident, 0, 0)?;
-                self.consume_operands(layer, &[])?;
-                in_shape.n as u64
-                    * in_shape.c.div_ceil(self.cfg.pe_rows) as u64
-                    * (layer.out_shape.h * layer.out_shape.w) as u64
-                    * (spec.kernel * spec.kernel) as u64
-            }
-            LayerKind::Pool(spec) => {
-                self.fetch_operand(layer, 0, None)?;
-                let (buffer, resident) = self.allocate_output(layer, out_elems)?;
-                self.register_output(layer, buffer, resident, 0, 0)?;
-                self.consume_operands(layer, &[])?;
-                vector_compute_cycles(out_elems * (spec.kernel * spec.kernel) as u64, lanes)
-            }
-            LayerKind::GlobalAvgPool => {
-                self.fetch_operand(layer, 0, None)?;
-                let in_elems = self.net.layer(layer.inputs[0]).out_elems() as u64;
-                let (buffer, resident) = self.allocate_output(layer, out_elems)?;
-                self.register_output(layer, buffer, resident, 0, 0)?;
-                self.consume_operands(layer, &[])?;
-                vector_compute_cycles(in_elems, lanes)
-            }
-            LayerKind::Fc { out_features } => {
-                self.fetch_operand(layer, 0, None)?;
-                let in_shape = self.net.in_shapes(layer.id)[0];
-                let in_features = in_shape.per_image();
-                let batch = in_shape.n;
-                let w_bytes = (out_features * in_features) as u64 * elem;
-                let passes = if w_bytes <= self.cfg.sram.weight_bytes {
-                    1
-                } else {
-                    batch as u64
-                };
-                self.record(TrafficClass::WeightRead, w_bytes * passes);
-                let (buffer, resident) = self.allocate_output(layer, out_elems)?;
-                self.register_output(layer, buffer, resident, 0, 0)?;
-                self.consume_operands(layer, &[])?;
-                fc_compute_cycles(
-                    batch,
-                    in_features,
-                    out_features,
-                    self.cfg.pe_rows,
-                    self.cfg.pe_cols,
-                )
-            }
-            LayerKind::EltwiseAdd { .. } => {
-                self.run_eltwise_add(layer)?;
-                vector_compute_cycles(out_elems, lanes)
-            }
-            LayerKind::ConcatChannels => {
-                self.run_concat(layer)?;
-                0
-            }
+    /// A single-operand compute layer (convolution, depthwise, pooling,
+    /// fully-connected): fetches the operand's missing part, streams the
+    /// weights, and keeps or writes back the output.
+    fn run_compute(&mut self, layer: &Layer) -> Result<LayerWork, SimError> {
+        // A convolution allocates its output before it is planned:
+        // adaptive tiling plans with the buffer actually granted.
+        let early = match layer.kind {
+            LayerKind::Conv(_) => Some(self.allocate_output(layer)?),
+            _ => None,
         };
-        Ok(cycles)
+        let caps = self.tile_caps(layer, early.and_then(|(buffer, _)| buffer))?;
+        let work = layer_work(&self.cfg, self.net, layer, caps)?;
+        self.fetch_operand(layer, 0, work.plan.as_ref())?;
+        self.record(TrafficClass::WeightRead, work.weight_bytes);
+        let (buffer, resident) = match early {
+            Some(output) => output,
+            None => self.allocate_output(layer)?,
+        };
+        self.register_output(layer, buffer, resident, 0, 0)?;
+        self.consume_operands(layer, &[])?;
+        Ok(work)
+    }
+
+    /// Tile capacities for planning `layer`: the shared ones, widened under
+    /// adaptive tiling to what the controller actually granted — the
+    /// resident part of the input and the output buffer's real capacity.
+    fn tile_caps(
+        &self,
+        layer: &Layer,
+        output: Option<LogicalBufferId>,
+    ) -> Result<TileCaps, SimError> {
+        let mut caps = self.cfg.tile_caps();
+        if self.policy.adaptive_tiling {
+            let in_resident = self
+                .fms
+                .get(layer.inputs[0].index())
+                .map_or(0, |r| r.resident_elems * self.elem());
+            caps.ifm_bytes = caps.ifm_bytes.max(in_resident);
+            if let Some(b) = output {
+                caps.ofm_bytes = caps.ofm_bytes.max(self.bufs.capacity_bytes(b)?);
+            }
+        }
+        Ok(caps)
     }
 
     /// Fused element-wise addition: the adjacent (residual) operand streams
@@ -1278,7 +1150,7 @@ impl<'a> Sim<'a> {
             .position(|p| p.index() + 1 == lid)
             .filter(|&op| {
                 self.fms
-                    .get(&layer.inputs[op].index())
+                    .get(layer.inputs[op].index())
                     .is_some_and(|r| r.remaining_consumers == 1)
             });
 
@@ -1289,31 +1161,26 @@ impl<'a> Sim<'a> {
             self.fetch_operand(layer, op, None)?;
         }
 
-        let (buffer, resident, suffix, spilled, skip_consume) = match adjacent_op {
+        let (buffer, resident, suffix, spilled) = match adjacent_op {
             Some(op) => {
                 // Take over the residual operand's buffer in place.
                 let pid = layer.inputs[op].index();
-                let r = self.fms.remove(&pid).ok_or_else(|| SimError::Invariant {
-                    layer: lid,
-                    message: format!("operand fm {pid} is not live"),
-                })?;
+                let r = self.fms.remove(pid).ok_or_else(|| not_live(lid, pid))?;
                 self.trace.events.push(TraceEvent::Free { fm: pid });
                 (
                     r.buffer,
                     r.resident_elems,
                     r.dram_suffix_elems,
                     r.spilled_elems,
-                    vec![op],
                 )
             }
             None => {
-                let out_elems = layer.out_elems() as u64;
-                let (buffer, resident) = self.allocate_output(layer, out_elems)?;
-                (buffer, resident, 0, 0, vec![])
+                let (buffer, resident) = self.allocate_output(layer)?;
+                (buffer, resident, 0, 0)
             }
         };
         self.register_output(layer, buffer, resident, suffix, spilled)?;
-        self.consume_operands(layer, &skip_consume)
+        self.consume_operands(layer, adjacent_op.as_slice())
     }
 
     /// Fused concatenation: zero traffic of its own; the output buffer
@@ -1326,35 +1193,16 @@ impl<'a> Sim<'a> {
 
         // Residency of the concatenated map must stay a prefix in element
         // order; see DESIGN.md ("prefix-consistent concatenation").
-        let mut rs: Vec<Resident> = Vec::with_capacity(ops.len());
-        for p in &ops {
-            rs.push(
-                self.fms
-                    .get(p)
-                    .cloned()
-                    .ok_or_else(|| SimError::Invariant {
-                        layer: lid,
-                        message: format!("concat operand fm {p} is not live"),
-                    })?,
-            );
-        }
+        let rs = ops
+            .iter()
+            .map(|&p| self.fms.get(p).copied().ok_or_else(|| not_live(lid, p)))
+            .collect::<Result<Vec<Resident>, SimError>>()?;
         // Concat junctions consume shortcut edges too (fire modules, dense
         // blocks, branchy DAGs); they bypass `fetch_operand`, so the
         // retention ledger is fed here — otherwise it would only ever see
         // add-style junctions.
-        for (p, r) in ops.iter().zip(&rs) {
-            if p + 1 < lid {
-                self.retention.push(RetentionRecord {
-                    producer: *p,
-                    junction: lid,
-                    skip: lid - p - 1,
-                    resident_fraction: if r.total_elems == 0 {
-                        0.0
-                    } else {
-                        r.resident_elems as f64 / r.total_elems as f64
-                    },
-                });
-            }
+        for (&p, r) in ops.iter().zip(&rs) {
+            self.note_retention(p, lid, r);
         }
 
         let fully = rs.iter().all(|r| r.resident_elems == r.total_elems);
@@ -1397,8 +1245,7 @@ impl<'a> Sim<'a> {
                     dropped += r.resident_elems;
                     if let Some(b) = r.buffer {
                         // Write the out-of-prefix data back and release it.
-                        self.bufs.unpin(b)?;
-                        self.bufs.free(b)?;
+                        self.release(b)?;
                     }
                 }
             }
@@ -1410,8 +1257,7 @@ impl<'a> Sim<'a> {
             for r in &rs {
                 dropped += r.resident_elems;
                 if let Some(b) = r.buffer {
-                    self.bufs.unpin(b)?;
-                    self.bufs.free(b)?;
+                    self.release(b)?;
                 }
             }
             (None, 0, dropped)
@@ -1422,9 +1268,9 @@ impl<'a> Sim<'a> {
         let suffix: u64 = rs.iter().map(|r| r.dram_suffix_elems).sum::<u64>() + written_now;
         let spilled: u64 = rs.iter().map(|r| r.spilled_elems).sum();
         if takeable {
-            for p in &ops {
+            for &p in &ops {
                 self.fms.remove(p);
-                self.trace.events.push(TraceEvent::Free { fm: *p });
+                self.trace.events.push(TraceEvent::Free { fm: p });
             }
             self.register_output(
                 layer,
@@ -1443,7 +1289,7 @@ impl<'a> Sim<'a> {
             // consumers — count this consumption, and free the operands
             // whose last use this was (mirroring `consume_operands`),
             // otherwise their entries leak for the rest of the run.
-            for p in &ops {
+            for &p in &ops {
                 let Some(r) = self.fms.get_mut(p) else {
                     continue;
                 };
@@ -1451,7 +1297,7 @@ impl<'a> Sim<'a> {
                 if r.resident_elems > 0 {
                     r.resident_elems = 0;
                     self.trace.events.push(TraceEvent::Spill {
-                        fm: *p,
+                        fm: p,
                         new_resident_elems: 0,
                     });
                 }
@@ -1459,12 +1305,29 @@ impl<'a> Sim<'a> {
                 r.remaining_consumers -= 1;
                 if r.remaining_consumers == 0 {
                     self.fms.remove(p);
-                    self.trace.events.push(TraceEvent::Free { fm: *p });
+                    self.trace.events.push(TraceEvent::Free { fm: p });
                 }
             }
             self.register_output(layer, None, 0, layer.out_elems() as u64, 0)?;
         }
         Ok(())
+    }
+
+    /// Records how much of shortcut `producer → junction` survived on chip
+    /// (nothing for an adjacent, non-shortcut edge).
+    fn note_retention(&mut self, producer: usize, junction: usize, r: &Resident) {
+        if producer + 1 < junction {
+            self.retention.push(RetentionRecord {
+                producer,
+                junction,
+                skip: junction - producer - 1,
+                resident_fraction: if r.total_elems == 0 {
+                    0.0
+                } else {
+                    r.resident_elems as f64 / r.total_elems as f64
+                },
+            });
+        }
     }
 
     /// Accounts the DRAM fetch of operand `op`'s non-resident suffix and the
@@ -1479,33 +1342,13 @@ impl<'a> Sim<'a> {
         let lid = layer.id.index();
         let pid = layer.inputs[op].index();
         let elem = self.elem();
-        let r = self
-            .fms
-            .get(&pid)
-            .ok_or_else(|| SimError::Invariant {
-                layer: lid,
-                message: format!("operand fm {pid} is not live"),
-            })?
-            .clone();
+        let r = *self.fms.get(pid).ok_or_else(|| not_live(lid, pid))?;
         let missing = r.missing_elems();
         debug_assert!(
             r.resident_elems + r.dram_suffix_elems >= r.total_elems,
             "fm {pid} has unreachable elements"
         );
-
-        let shortcut_edge = pid + 1 < lid;
-        if shortcut_edge {
-            self.retention.push(RetentionRecord {
-                producer: pid,
-                junction: lid,
-                skip: lid - pid - 1,
-                resident_fraction: if r.total_elems == 0 {
-                    0.0
-                } else {
-                    r.resident_elems as f64 / r.total_elems as f64
-                },
-            });
-        }
+        self.note_retention(pid, lid, &r);
 
         if missing > 0 {
             // Streaming overhead of the per-layer schedule applies to the
@@ -1521,12 +1364,7 @@ impl<'a> Sim<'a> {
             let spill_part = r.spilled_elems.min(missing);
             let normal_part = missing - spill_part;
             self.record(TrafficClass::SpillRead, scale(spill_part));
-            let class = if shortcut_edge {
-                TrafficClass::ShortcutRead
-            } else {
-                TrafficClass::IfmRead
-            };
-            self.record(class, scale(normal_part));
+            self.record(read_class(layer.inputs[op], layer.id), scale(normal_part));
             self.trace.events.push(TraceEvent::FetchMissing {
                 fm: pid,
                 consumer: lid,
@@ -1539,22 +1377,32 @@ impl<'a> Sim<'a> {
         Ok(())
     }
 
+    /// How `layer`'s output is read, and whether the policy gains from
+    /// keeping it on chip: out–in swap serves the next layer, shortcut
+    /// mining a later junction.
+    fn output_use(&self, layer: &Layer) -> OutputUse {
+        let lid = layer.id.index();
+        let consumers = self.net.consumers(layer.id);
+        let adjacent_next = consumers.first().is_some_and(|c| c.index() == lid + 1);
+        let nonadjacent = consumers.iter().any(|c| c.index() > lid + 1);
+        OutputUse {
+            adjacent_next,
+            nonadjacent,
+            worth_keeping: (self.policy.out_in_swap && adjacent_next)
+                || (self.policy.shortcut_mining && nonadjacent),
+        }
+    }
+
     /// Allocates the output logical buffer for a layer (plus the permanent
     /// one-bank streaming reserve implied by the pool geometry), spilling
     /// pinned shortcuts only when the pool is completely dry.
     fn allocate_output(
         &mut self,
         layer: &Layer,
-        out_elems: u64,
     ) -> Result<(Option<LogicalBufferId>, u64), SimError> {
         let elem = self.elem();
-        let consumers = self.net.consumers(layer.id);
-        let lid = layer.id.index();
-        let adjacent_next = consumers.first().is_some_and(|c| c.index() == lid + 1);
-        let has_nonadjacent = consumers.iter().any(|c| c.index() > lid + 1);
-        let useful = (self.policy.out_in_swap && adjacent_next)
-            || (self.policy.shortcut_mining && has_nonadjacent);
-        if !useful || out_elems == 0 {
+        let out_elems = layer.out_elems() as u64;
+        if !self.output_use(layer).worth_keeping || out_elems == 0 {
             return Ok((None, 0));
         }
         let want = self
@@ -1573,7 +1421,7 @@ impl<'a> Sim<'a> {
             crate::AllocPriority::RetainPinned => 2,
         };
         if self.bufs.free_banks() < target {
-            self.spill_for_banks(target, lid)?;
+            self.spill_for_banks(target, layer)?;
         }
         let grantable = self.bufs.free_banks().saturating_sub(1);
         if grantable == 0 {
@@ -1588,89 +1436,46 @@ impl<'a> Sim<'a> {
     }
 
     /// Spills pinned/retained buffers until `need` banks are free, skipping
-    /// the current layer's operands. Returns silently when nothing is
-    /// spillable.
-    fn spill_for_banks(&mut self, need: usize, current: usize) -> Result<(), SimError> {
-        let elem = self.elem();
+    /// `current`'s operands. Returns silently when nothing is spillable.
+    fn spill_for_banks(&mut self, need: usize, current: &Layer) -> Result<(), SimError> {
+        let now = current.id.index();
+        // A silent spill-queue upset reverses the victim walk.
+        let order = match (self.policy.spill_order, self.spill_flip) {
+            (order, false) => order,
+            (SpillOrder::FarthestJunctionFirst, true) => SpillOrder::NearestJunctionFirst,
+            (SpillOrder::NearestJunctionFirst, true) => SpillOrder::FarthestJunctionFirst,
+        };
         while self.bufs.free_banks() < need {
-            let operands: Vec<usize> = self
-                .net
-                .layer(LayerId(current))
-                .inputs
-                .iter()
-                .map(|p| p.index())
-                .collect();
             // Victims: resident feature maps that are not operands of the
             // current layer, ordered by their next use.
-            let mut victims: Vec<(usize, usize)> = self
-                .fms
-                .iter()
-                .filter(|(fm, r)| {
-                    !operands.contains(fm) && r.buffer.is_some() && r.resident_elems > 0
-                })
-                .map(|(fm, _)| {
-                    let next_use = self
-                        .net
-                        .consumers(LayerId(*fm))
-                        .iter()
-                        .map(|c| c.index())
-                        .find(|&c| c >= current)
-                        .unwrap_or(usize::MAX);
-                    (*fm, next_use)
-                })
-                .collect();
-            if victims.is_empty() {
-                return Ok(());
-            }
-            // A silent spill-queue upset reverses the victim walk.
-            let order = if self.spill_flip {
-                match self.policy.spill_order {
-                    SpillOrder::FarthestJunctionFirst => SpillOrder::NearestJunctionFirst,
-                    SpillOrder::NearestJunctionFirst => SpillOrder::FarthestJunctionFirst,
+            let victims = self.fms.iter().filter_map(|(fm, r)| {
+                let buffer = r.buffer?;
+                if r.resident_elems == 0 || current.inputs.contains(&LayerId(fm)) {
+                    return None;
                 }
-            } else {
-                self.policy.spill_order
-            };
-            // Ties on next use break by feature-map index: `fms` iterates in
-            // hash order, so without the tie-break the victim (and every
-            // number downstream of it) would vary from run to run.
-            match order {
-                SpillOrder::FarthestJunctionFirst => victims
-                    .sort_unstable_by_key(|&(fm, next_use)| (std::cmp::Reverse(next_use), fm)),
-                SpillOrder::NearestJunctionFirst => {
-                    victims.sort_unstable_by_key(|&(fm, next_use)| (next_use, fm))
-                }
-            }
-            let (fm, _) = victims[0];
-            let r = self.fms.get_mut(&fm).ok_or_else(|| SimError::Invariant {
-                layer: current,
-                message: format!("spill victim fm {fm} is not live"),
-            })?;
-            let buffer = r.buffer.ok_or_else(|| SimError::Invariant {
-                layer: current,
-                message: format!("spill victim fm {fm} has no buffer"),
-            })?;
-            let (_, evicted_bytes) = self.bufs.spill_bank(buffer)?;
-            let evicted = evicted_bytes / elem;
-            r.resident_elems -= evicted;
-            r.dram_suffix_elems += evicted;
-            r.spilled_elems += evicted;
-            let new_resident = r.resident_elems;
-            let empty = self
-                .bufs
-                .buffer(buffer)
-                .map(|b| b.banks().is_empty())
-                .unwrap_or(false);
-            if empty {
-                r.buffer = None;
-                self.bufs.unpin(buffer)?;
-                self.bufs.free(buffer)?;
-            }
-            self.record(TrafficClass::SpillWrite, evicted_bytes);
-            self.trace.events.push(TraceEvent::Spill {
-                fm,
-                new_resident_elems: new_resident,
+                let next_use = self
+                    .net
+                    .consumers(LayerId(fm))
+                    .iter()
+                    .map(|c| c.index())
+                    .find(|&c| c >= now)
+                    .unwrap_or(usize::MAX);
+                Some((fm, next_use, buffer))
             });
+            let victim = match order {
+                SpillOrder::FarthestJunctionFirst => {
+                    victims.min_by_key(|&(fm, next_use, _)| (std::cmp::Reverse(next_use), fm))
+                }
+                SpillOrder::NearestJunctionFirst => {
+                    victims.min_by_key(|&(fm, next_use, _)| (next_use, fm))
+                }
+            };
+            let Some((fm, _, buffer)) = victim else {
+                return Ok(());
+            };
+            let (_, evicted_bytes) = self.bufs.spill_bank(buffer)?;
+            self.record(TrafficClass::SpillWrite, evicted_bytes);
+            self.evict(fm, buffer, evicted_bytes)?;
         }
         Ok(())
     }
@@ -1690,21 +1495,18 @@ impl<'a> Sim<'a> {
         let elem = self.elem();
         let total = layer.out_elems() as u64;
         let consumers = self.net.consumers(layer.id);
-        let adjacent_next = consumers.first().is_some_and(|c| c.index() == lid + 1);
-        let has_nonadjacent = consumers.iter().any(|c| c.index() > lid + 1);
-        let useful = (self.policy.out_in_swap && adjacent_next)
-            || (self.policy.shortcut_mining && has_nonadjacent);
+        let uses = self.output_use(layer);
 
         let mut resident = resident_elems;
         let mut suffix = inherited_suffix;
         let mut buffer = buffer;
         let mut spilled = spilled;
 
-        let keep = useful && !consumers.is_empty() && resident > 0;
+        let keep = uses.worth_keeping && !consumers.is_empty() && resident > 0;
         // Required DRAM coverage: the non-resident tail always; the whole
         // map when residency is dropped or non-adjacent consumers cannot be
         // served from pinned banks (mining off).
-        let required_suffix = if !keep || (has_nonadjacent && !self.policy.shortcut_mining) {
+        let required_suffix = if !keep || (uses.nonadjacent && !self.policy.shortcut_mining) {
             total
         } else {
             total - resident
@@ -1716,13 +1518,12 @@ impl<'a> Sim<'a> {
 
         if !keep {
             if let Some(b) = buffer.take() {
-                self.bufs.unpin(b)?;
-                self.bufs.free(b)?;
+                self.release(b)?;
             }
             resident = 0;
             spilled = 0;
         } else if let Some(b) = buffer {
-            let role = if self.policy.out_in_swap && adjacent_next {
+            let role = if self.policy.out_in_swap && uses.adjacent_next {
                 BufferRole::Input
             } else {
                 BufferRole::Shortcut
@@ -1749,8 +1550,7 @@ impl<'a> Sim<'a> {
 
         if consumers.is_empty() {
             if let Some(b) = buffer.take() {
-                self.bufs.unpin(b)?;
-                self.bufs.free(b)?;
+                self.release(b)?;
             }
             self.trace.events.push(TraceEvent::Free { fm: lid });
             return Ok(());
@@ -1777,16 +1577,15 @@ impl<'a> Sim<'a> {
                 continue;
             }
             let pid = pid.index();
-            let Some(r) = self.fms.get_mut(&pid) else {
+            let Some(r) = self.fms.get_mut(pid) else {
                 continue; // folded into a junction output earlier this layer
             };
             r.remaining_consumers -= 1;
             if r.remaining_consumers == 0 {
                 let buffer = r.buffer;
-                self.fms.remove(&pid);
+                self.fms.remove(pid);
                 if let Some(b) = buffer {
-                    self.bufs.unpin(b)?;
-                    self.bufs.free(b)?;
+                    self.release(b)?;
                 }
                 self.trace.events.push(TraceEvent::Free { fm: pid });
             } else if self.policy.shortcut_mining {
@@ -1812,8 +1611,7 @@ impl<'a> Sim<'a> {
                     });
                 }
                 if let Some(b) = buffer {
-                    self.bufs.unpin(b)?;
-                    self.bufs.free(b)?;
+                    self.release(b)?;
                 }
             }
         }

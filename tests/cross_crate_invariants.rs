@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the system-level invariants of DESIGN.md,
 //! exercised through the public umbrella API.
 
-use shortcut_mining::accel::{AccelConfig, BaselineAccelerator};
+use shortcut_mining::accel::{AccelConfig, BaselineAccelerator, FusedLayerAccelerator, RunStats};
 use shortcut_mining::core::{Experiment, Policy, ShortcutMiner};
 use shortcut_mining::mem::TrafficClass;
 use shortcut_mining::model::zoo;
@@ -126,6 +126,58 @@ fn weight_traffic_is_identical_across_architectures() {
             net.name()
         );
     }
+}
+
+#[test]
+fn every_architecture_plans_every_layer_the_same_way() {
+    // One cost model: a layer's MACs and weight traffic depend on the layer
+    // alone, never on the architecture around it — including the rule that
+    // fully-connected weights too big for the weight buffer stream once per
+    // image.
+    let cfg = AccelConfig::default();
+    let plan = |run: &RunStats| -> Vec<(usize, u64, u64)> {
+        run.layers
+            .iter()
+            .map(|l| (l.id, l.macs, l.traffic.class(TrafficClass::WeightRead)))
+            .collect()
+    };
+    let mut mismatches = Vec::new();
+    for batch in [1, 2, 4] {
+        for net in zoo::extended_networks(batch) {
+            let runs = [
+                BaselineAccelerator::new(cfg).simulate(&net),
+                BaselineAccelerator::new(cfg)
+                    .with_fused_junctions()
+                    .simulate(&net),
+                FusedLayerAccelerator::new(cfg).simulate(&net),
+                ShortcutMiner::new(cfg, Policy::shortcut_mining())
+                    .simulate(&net)
+                    .stats,
+            ];
+            let reference = plan(&runs[0]);
+            assert_eq!(reference.len(), net.len() - 1, "{}", net.name());
+            for run in &runs[1..] {
+                let layers = plan(run);
+                assert_eq!(layers.len(), reference.len(), "{}", run.architecture);
+                for (got, want) in layers.iter().zip(&reference) {
+                    if got != want {
+                        mismatches.push(format!(
+                            "{} b{batch} {} layer {}: (id, macs, weight bytes) {got:?} != {want:?}",
+                            net.name(),
+                            run.architecture,
+                            want.0
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} mismatches:\n{}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
 }
 
 #[test]

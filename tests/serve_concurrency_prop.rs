@@ -3,9 +3,14 @@
 //!
 //! Covered properties:
 //!
-//! * mux determinism — the whole service output is byte-identical to
-//!   sequential serving at every `(worker threads, max_inflight)`
-//!   combination, with each run against its own cold store;
+//! * mux determinism — for requests that share no cells, the whole
+//!   service output is byte-identical to sequential serving at every
+//!   `(worker threads, max_inflight)` combination, with each run against
+//!   its own cold store;
+//! * result determinism — for requests that do share cells, which
+//!   in-flight request computes a shared cell first is a race, so `cached`
+//!   flags and `cache` counts may differ from sequential serving, but every
+//!   `result` payload is identical;
 //! * per-request stream order — within one request the events always read
 //!   `accepted` → `cell` (in index order) → `done`;
 //! * deadline typing — an already-expired deadline yields a typed
@@ -36,6 +41,23 @@ fn disjoint_requests() -> String {
         })
         .collect::<Vec<_>>()
         .join("\n")
+}
+
+/// Four requests on one network that share cells: two identical grids, a
+/// grid overlapping them in one column, and a comparison.
+fn overlapping_requests() -> String {
+    let grid = |id: &str, rates: &str| {
+        format!(
+            r#"{{"id":"{id}","kind":"chaos-grid","network":"toy_residual","seed":7,"fractions":[0.0,0.3],"rates":{rates}}}"#
+        )
+    };
+    [
+        grid("o0", "[0.0,0.2]"),
+        grid("o1", "[0.0,0.2]"),
+        grid("o2", "[0.0,0.1]"),
+        r#"{"id":"o3","kind":"compare","network":"toy_residual"}"#.to_string(),
+    ]
+    .join("\n")
 }
 
 fn serve_cold(tag: &str, input: &str, options: &ServeOptions) -> String {
@@ -109,6 +131,36 @@ fn interleaved_output_is_byte_identical_across_threads_and_inflight() {
         }
     }
     set_threads(None);
+}
+
+#[test]
+fn overlapping_requests_return_sequential_results_at_any_inflight() {
+    // Each `done` line up to its `cache` stats: id, timing pinned by
+    // deterministic mode, and the result payload.
+    let results = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter(|l| l.contains(r#""event":"done""#))
+            .map(|l| l.split(r#","cache":"#).next().unwrap().to_string())
+            .collect()
+    };
+    let input = overlapping_requests();
+    let options = |max_inflight| ServeOptions {
+        max_inflight,
+        deterministic_timing: true,
+        ..ServeOptions::default()
+    };
+    let reference = results(&serve_cold("overlap-ref", &input, &options(1)));
+    assert_eq!(reference.len(), 4, "{reference:?}");
+    for max_inflight in [2usize, 4] {
+        for round in 0..3 {
+            let got = results(&serve_cold(
+                &format!("overlap-m{max_inflight}-{round}"),
+                &input,
+                &options(max_inflight),
+            ));
+            assert_eq!(got, reference, "max_inflight {max_inflight}, round {round}");
+        }
+    }
 }
 
 #[test]
