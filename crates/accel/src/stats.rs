@@ -129,10 +129,7 @@ pub struct LayerReport {
     pub traffic: ClassTotals,
     /// Multiply-accumulates performed.
     pub macs: u64,
-    /// Where the layer's cycles went, plus its fault exposure. New field
-    /// relative to earlier report formats: consumers deserialize it with
-    /// `serde(default)` so old reports still parse.
-    #[serde(default)]
+    /// Where the layer's cycles went, plus its fault exposure.
     pub perf: LayerPerfSummary,
 }
 

@@ -2,11 +2,12 @@
 //! plus cost-aware vs FIFO dispatch on a deliberately skewed sweep grid.
 //!
 //! The first group quantifies the packed register-blocked kernel's win on
-//! the exact im2col shapes the replay path runs (the nightly floor asserts
-//! ≥4× on the first of them). The second group pits
-//! `par_map_weighted` (largest-cost-first) against plain `par_map` (FIFO
-//! chunking) on a ResNet-152 + SqueezeNet mixed grid, where a FIFO split
-//! can strand the one enormous network at the end of a worker's queue.
+//! the exact im2col shapes the replay path runs; the nightly speed floor in
+//! `tests/speed_floors.rs` asserts ≥4× on the first of them. The second
+//! group pits `par_map_weighted` (largest-cost-first) against plain
+//! `par_map` (FIFO chunking) on a ResNet-152 + SqueezeNet mixed grid, where
+//! a FIFO split can strand the one enormous network at the end of a
+//! worker's queue.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;

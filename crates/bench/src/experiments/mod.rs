@@ -67,9 +67,10 @@ pub use sensitivity::{
 ///
 /// The twelve builders are independent, so they run concurrently on the
 /// worker pool ([`sm_core::parallel`]); the returned order (and therefore
-/// any rendering of it) is the same at every thread count. This is the
-/// workload behind both the `all_experiments` binary (the one entry point
-/// for the paper's figures) and the `smctl bench` timing harness.
+/// any rendering of it) is the same at every thread count, which
+/// `tests/parallel_determinism.rs` checks. This is the workload behind the
+/// `all_experiments` binary (the one entry point for the paper's figures)
+/// and so behind the benchmark's `figures` workload.
 pub fn all_tables(cfg: sm_accel::AccelConfig) -> Vec<crate::report::Table> {
     type Job = Box<dyn Fn() -> crate::report::Table + Sync>;
     let jobs: Vec<Job> = vec![

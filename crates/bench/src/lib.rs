@@ -24,7 +24,6 @@ pub mod iofault;
 pub mod report;
 pub mod service;
 pub mod sweep;
-pub mod timing;
 
 /// Headline numbers pinned by the paper's abstract, used by tests and
 /// rendered next to measured values in reports.

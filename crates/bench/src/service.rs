@@ -75,8 +75,10 @@
 //! (`reason` ∈ `bad-request` / `unserviceable` / `deadline` /
 //! `write-failed`) and the service keeps reading. A line that is not
 //! UTF-8 or is longer than [`MAX_LINE_BYTES`] is a `bad-request` with an
-//! empty id; an over-long line is skipped without being stored. EOF on the
-//! input ends the service.
+//! empty id; an over-long line is skipped without being stored. A request
+//! whose sweep would run more than [`MAX_CELLS_PER_REQUEST`] cells is a
+//! `bad-request` too, answered before `accepted`. EOF on the input ends
+//! the service.
 //!
 //! # Client failures and store health
 //!
@@ -204,6 +206,12 @@ struct Request {
 /// next line is served. The largest zoo graph export is about 23 KB.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// Most cells one request may ask for ([`SweepKind::cells`]). A request
+/// over the cap is answered `bad-request` before it is accepted, so its
+/// keys are never derived nor probed. The largest request in CI or the
+/// benchmark streams has 30 cells.
+pub const MAX_CELLS_PER_REQUEST: usize = 4096;
+
 /// Reads the next request line into `buf`: `Ok(None)` at end of input,
 /// otherwise the line without its line ending, or why it cannot be a
 /// request (longer than [`MAX_LINE_BYTES`], or not UTF-8). `buf` grows
@@ -245,7 +253,7 @@ fn parse_request(line: &str) -> Result<Request, (String, String)> {
         .field_opt("network")
         .map_err(|e| fail(e.to_string()))?
         .unwrap_or_default();
-    Ok(Request {
+    let req = Request {
         kind,
         network,
         batch: value
@@ -286,7 +294,16 @@ fn parse_request(line: &str) -> Result<Request, (String, String)> {
             .map_err(|e| fail(e.to_string()))?,
         graph: value.field_opt("graph").map_err(|e| fail(e.to_string()))?,
         id,
-    })
+    };
+    // An unknown kind is left for `handle_request`, which reports the
+    // network first.
+    match SweepKind::parse(&req.kind).map(|kind| kind.cells(&req.axes)) {
+        Some(cells) if cells > MAX_CELLS_PER_REQUEST => Err((
+            req.id,
+            format!("request has {cells} cells; at most {MAX_CELLS_PER_REQUEST} are served"),
+        )),
+        _ => Ok(req),
+    }
 }
 
 /// Writes one request's event lines as they arrive. Streaming is the point
@@ -819,6 +836,42 @@ mod tests {
                 .any(|l| l.contains(r#""id":"a","event":"done""#)),
             "{lines:?}"
         );
+    }
+
+    /// A `chaos-grid` request line over `fractions` × `rates` zeros.
+    fn grid_request(id: &str, fractions: usize, rates: usize) -> String {
+        let axis = |n: usize| format!("[{}]", vec!["0.0"; n].join(","));
+        format!(
+            r#"{{"id":"{id}","kind":"chaos-grid","network":"toy_residual","fractions":{},"rates":{},"deadline_ms":1}}"#,
+            axis(fractions),
+            axis(rates)
+        )
+    }
+
+    #[test]
+    fn an_over_cap_request_is_a_bad_request_and_the_next_line_is_served() {
+        // Every key of a request used to be derived and probed before its
+        // first cancel check: 600 x 600 cells cost seconds and ~90 MiB
+        // before the deadline error arrived.
+        let store = tmp_store("cell-cap");
+        let ok = r#"{"id":"ok","kind":"compare","network":"toy_residual"}"#;
+        let over = MAX_CELLS_PER_REQUEST + 1;
+        let lines = serve(&store, &format!("{}\n{ok}\n", grid_request("big", over, 1)));
+        assert!(
+            lines[0].contains(r#""id":"big","event":"error","reason":"bad-request""#),
+            "{lines:?}"
+        );
+        let message = format!("{over} cells; at most {MAX_CELLS_PER_REQUEST}");
+        assert!(lines[0].contains(&message), "{}", lines[0]);
+        assert!(
+            lines[1].contains(r#""id":"ok","event":"accepted""#),
+            "{lines:?}"
+        );
+        assert!(lines
+            .iter()
+            .any(|l| l.contains(r#""id":"ok","event":"done""#)));
+        // The cap itself is admitted.
+        assert!(parse_request(&grid_request("cap", MAX_CELLS_PER_REQUEST, 1)).is_ok());
     }
 
     #[test]

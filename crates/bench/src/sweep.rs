@@ -29,14 +29,16 @@ use crate::cas::{KeyedNet, RunCtx};
 use crate::experiments::{
     chaos_degradation, chaos_grid, chaos_grid3, compare_cells, control_path_sweep,
     retry_budget_study, scheduler_sweep, ChaosCurve, ChaosGrid, ChaosGrid3, ComparisonCell,
-    ControlPathStudy, RetryBudgetStudy, SchedulerStudy, DEFAULT_CAPACITIES_KIB,
+    ControlPathStudy, RetryBudgetStudy, SchedulerStudy, CONTROL_PATH_POLICIES,
+    DEFAULT_CAPACITIES_KIB, DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS, DEFAULT_GRID_FRACTIONS,
+    DEFAULT_GRID_RATES, DEFAULT_GRID_SITE_RATES, DEFAULT_RETRY_BUDGETS, DEFAULT_SCHEDULER_RATES,
+    SCHEDULER_POLICIES,
 };
 use crate::report::Table;
 
 /// The axes and fault settings of one sweep. Each kind reads only the
 /// fields it sweeps; an axis left `None` takes the kind's default (e.g.
-/// [`DEFAULT_GRID_FRACTIONS`](crate::experiments::DEFAULT_GRID_FRACTIONS)
-/// for `chaos-grid`).
+/// [`DEFAULT_GRID_FRACTIONS`] for `chaos-grid`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepAxes {
     /// Fault-plan seed shared by every cell (default 42).
@@ -149,6 +151,39 @@ impl SweepKind {
             "unknown kind {name:?} (expected {}, or {last})",
             rest.join(", ")
         )
+    }
+
+    /// How many cells this sweep runs under `axes`: the saturating product
+    /// of its axis lengths, an axis left `None` counting as its default.
+    pub fn cells(self, axes: &SweepAxes) -> usize {
+        fn len<T>(axis: &Option<Vec<T>>, default: &[T]) -> usize {
+            axis.as_ref().map_or(default.len(), Vec::len)
+        }
+        let (fractions, rates) = (&axes.fractions, &axes.rates);
+        let lens = match self {
+            SweepKind::ChaosCurve => vec![len(fractions, &DEFAULT_FRACTIONS)],
+            SweepKind::ChaosGrid => vec![
+                len(fractions, &DEFAULT_GRID_FRACTIONS),
+                len(rates, &DEFAULT_GRID_RATES),
+            ],
+            SweepKind::ChaosGrid3 => vec![
+                len(fractions, &DEFAULT_GRID_FRACTIONS),
+                len(rates, &DEFAULT_GRID_RATES),
+                len(&axes.site_rates, &DEFAULT_GRID_SITE_RATES),
+            ],
+            SweepKind::ControlPath => vec![
+                CONTROL_PATH_POLICIES.len(),
+                len(rates, &DEFAULT_CONTROL_PATH_RATES),
+            ],
+            SweepKind::Scheduler => vec![
+                SCHEDULER_POLICIES.len(),
+                len(rates, &DEFAULT_SCHEDULER_RATES),
+            ],
+            SweepKind::RetryBudget => vec![len(&axes.budgets, &DEFAULT_RETRY_BUDGETS)],
+            SweepKind::Compare => vec![1],
+            SweepKind::CapacitySweep => vec![len(&axes.capacities_kib, &DEFAULT_CAPACITIES_KIB)],
+        };
+        lens.into_iter().fold(1, usize::saturating_mul)
     }
 
     /// Runs this sweep on `net` under `config`, streaming every cell to
@@ -278,6 +313,20 @@ mod tests {
     }
 
     #[test]
+    fn cell_counts_follow_the_given_axes() {
+        let axes = SweepAxes {
+            fractions: Some(vec![0.0; 4]),
+            rates: Some(vec![0.0; 5]),
+            site_rates: Some(vec![0.0; 2]),
+            budgets: Some(vec![0; 7]),
+            capacities_kib: Some(vec![64; 3]),
+            ..SweepAxes::default()
+        };
+        let counts = SweepKind::ALL.map(|k| k.cells(&axes));
+        assert_eq!(counts, [4, 20, 40, 15, 20, 7, 1, 3]);
+    }
+
+    #[test]
     fn unknown_kind_message_lists_the_registry() {
         assert_eq!(
             SweepKind::unknown("nope"),
@@ -337,6 +386,20 @@ mod tests {
             let expected: Vec<(usize, bool)> = (0..cells.0.len()).map(|i| (i, false)).collect();
             assert!(!cells.0.is_empty(), "{}", kind.name());
             assert_eq!(cells.0, expected, "{}", kind.name());
+            // The admission count is the streamed count.
+            let streamed = out
+                .lines()
+                .filter(|l| {
+                    l.starts_with(&format!("{{\"id\":\"{}\",\"event\":\"cell\"", kind.name()))
+                })
+                .count();
+            assert_eq!(
+                kind.cells(&SweepAxes::default()),
+                streamed,
+                "{}",
+                kind.name()
+            );
+            assert_eq!(streamed, cells.0.len(), "{}", kind.name());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -26,6 +26,14 @@ smctl="$bin/smctl"
 "$smctl" chaos headline --budget-sweep --json > "$out/chaos_headline_budget_sweep.json"
 "$smctl" report resnet34 --per-layer --json --dram-rate 0.05 --site-rate 0.1 \
   > "$out/report_resnet34_faults.json"
+"$smctl" networks > "$out/cli_networks.txt"
+"$smctl" compare resnet34 > "$out/cli_compare_resnet34.txt"
+"$smctl" compare resnet34 --batch 2 --capacity 512 --policy swap-only --json \
+  > "$out/cli_compare_resnet34_b2_c512_swap_only.json"
+"$smctl" analyze resnet50 > "$out/cli_analyze_resnet50.txt"
+"$smctl" sweep resnet34 > "$out/cli_sweep_resnet34.txt"
+"$smctl" layers squeezenet_v10_simple_bypass > "$out/cli_layers_squeezenet_v10_simple_bypass.txt"
+"$smctl" verify toy_residual > "$out/cli_verify_toy_residual.txt"
 
 status=0
 for f in "$out"/*; do

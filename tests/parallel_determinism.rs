@@ -10,10 +10,9 @@ use serde::json::to_string;
 use shortcut_mining::accel::AccelConfig;
 use shortcut_mining::bench::cas::{KeyedNet, RunCtx};
 use shortcut_mining::bench::experiments::{
-    chaos_degradation, chaos_grid, chaos_grid3, control_path_sweep, fig10_traffic_reduction,
-    fig11_traffic_breakdown, fig13_throughput, fig14_capacity_sweep, fig15_batch_sweep,
-    retry_budget_sweep, DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS, DEFAULT_GRID_FRACTIONS,
-    DEFAULT_GRID_RATES, DEFAULT_GRID_SITE_RATES, DEFAULT_RETRY_BUDGETS,
+    all_tables, chaos_degradation, chaos_grid, chaos_grid3, control_path_sweep, retry_budget_sweep,
+    DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS, DEFAULT_GRID_FRACTIONS, DEFAULT_GRID_RATES,
+    DEFAULT_GRID_SITE_RATES, DEFAULT_RETRY_BUDGETS,
 };
 use shortcut_mining::bench::sweep::SweepAxes;
 use shortcut_mining::core::parallel::set_threads;
@@ -23,12 +22,8 @@ use shortcut_mining::model::zoo;
 fn render_all() -> String {
     let cfg = AccelConfig::default();
     let net = zoo::resnet_tiny(2, 1);
-    let mut out = String::new();
-    out.push_str(&fig10_traffic_reduction(cfg, 1).table.render());
-    out.push_str(&fig11_traffic_breakdown(cfg, 1).table.render());
-    out.push_str(&fig13_throughput(cfg, 1).table.render());
-    out.push_str(&fig14_capacity_sweep(cfg, 1).table.render());
-    out.push_str(&fig15_batch_sweep(cfg).table.render());
+    // Every table of the paper's evaluation (`all_experiments`).
+    let mut out: String = all_tables(cfg).iter().map(|t| t.render()).collect();
     let keyed = KeyedNet::new(net.clone());
     let plain = RunCtx::default();
     let curve_axes = SweepAxes {
