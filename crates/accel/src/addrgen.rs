@@ -77,7 +77,13 @@ pub fn fm_tile_stream(
 }
 
 /// Replays a layer's tile-load stream through a DDR channel and returns the
-/// cost. The channel is reset first, so results are independent.
+/// cost.
+///
+/// The channel is reset first, so the cost is a pure function of `dims`,
+/// the plan's tile extents `plan.tr` × `plan.tc`, `elem_bytes` and the
+/// channel's timings: no row a previous stream left open reaches it.
+/// Callers may therefore replay each distinct shape once and reuse the
+/// cost, as Ext-10's bandwidth derivation does.
 pub fn fm_stream_cost(
     channel: &mut DdrChannel,
     dims: ConvDims,
@@ -193,6 +199,30 @@ mod tests {
             wide_eff > narrow_eff,
             "wide {wide_eff} !> narrow {narrow_eff}"
         );
+    }
+
+    #[test]
+    fn stream_cost_does_not_depend_on_what_the_channel_replayed_before() {
+        let d = dims();
+        let plan = plan_conv(d, small_caps(), 64, 64, 2);
+        let fresh = fm_stream_cost(&mut DdrChannel::new(DdrTimings::default()), d, &plan, 2);
+
+        // Another shape's stream, then a weight stream, leave rows open.
+        let other = ConvDims {
+            in_c: 64,
+            in_h: 56,
+            in_w: 56,
+            out_c: 64,
+            out_h: 56,
+            out_w: 56,
+            ..d
+        };
+        let other_plan = plan_conv(other, small_caps(), 64, 64, 2);
+        let mut ch = DdrChannel::new(DdrTimings::default());
+        assert_ne!(fm_stream_cost(&mut ch, other, &other_plan, 2), fresh);
+        assert_eq!(fm_stream_cost(&mut ch, d, &plan, 2), fresh);
+        ch.cost_of_stream(weight_stream(4096, 3 << 20));
+        assert_eq!(fm_stream_cost(&mut ch, d, &plan, 2), fresh);
     }
 
     #[test]

@@ -368,6 +368,13 @@ struct PlanKey {
     elem_bytes: u64,
 }
 
+/// Most plans [`plan_conv_cached`] keeps; an insert into a full memo
+/// clears it first. Regenerating every figure inserts about 4,000 plans,
+/// so only a long-running `smctl serve` that keeps sweeping new
+/// capacities reaches the bound. A full memo takes about 27 MB: 208-byte
+/// entries in a table of 131,072 buckets.
+pub const PLAN_CACHE_MAX_PLANS: usize = 65_536;
+
 static PLAN_CACHE: OnceLock<RwLock<HashMap<PlanKey, TilePlan>>> = OnceLock::new();
 static PLAN_HITS: AtomicU64 = AtomicU64::new(0);
 static PLAN_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -385,7 +392,8 @@ fn plan_cache() -> &'static RwLock<HashMap<PlanKey, TilePlan>> {
 /// and the Shortcut Mining simulator all consult the same map, and repeated
 /// sweep points (a capacity sweep re-visits every other layer of a network
 /// unchanged) stop paying for the design-space exploration. The cache is
-/// thread-safe; parallel sweep workers share it.
+/// thread-safe; parallel sweep workers share it, and it holds at most
+/// [`PLAN_CACHE_MAX_PLANS`] plans.
 pub fn plan_conv_cached(
     dims: ConvDims,
     caps: TileCaps,
@@ -407,10 +415,11 @@ pub fn plan_conv_cached(
     }
     PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
     let plan = plan_conv(dims, caps, pe_rows, pe_cols, elem_bytes);
-    cache
-        .write()
-        .expect("plan cache poisoned")
-        .insert(key, plan);
+    let mut memo = cache.write().expect("plan cache poisoned");
+    if memo.len() >= PLAN_CACHE_MAX_PLANS {
+        memo.clear();
+    }
+    memo.insert(key, plan);
     plan
 }
 

@@ -386,10 +386,20 @@ pub fn ext_bound_breakdown(config: AccelConfig, batch: usize) -> ExtSweepResult 
 pub fn ext_ddr_bandwidth(config: AccelConfig, batch: usize) -> ExtSweepResult {
     use sm_accel::addrgen::{fm_stream_cost, weight_stream};
     use sm_accel::tiling::{plan_conv_cached, ConvDims};
-    use sm_mem::ddr::{DdrChannel, DdrTimings};
+    use sm_mem::ddr::{DdrChannel, DdrCost, DdrTimings};
+    use std::collections::HashMap;
 
     let caps = config.tile_caps();
     let mut channel = DdrChannel::new(DdrTimings::default());
+    // Each distinct stream is replayed once. Every network streams the
+    // same 16 MiB of weights. A layer's replay depends only on its shape
+    // and tile extents (the channel is reset first, and the timings and
+    // element width are fixed here): the three networks' 217 convolutions
+    // have 51 distinct ones.
+    let w_eff = channel
+        .cost_of_stream(weight_stream(0, 16 << 20))
+        .effective_bytes_per_cycle();
+    let mut replays: HashMap<(ConvDims, usize, usize), DdrCost> = HashMap::new();
     let mut table = Table::new(
         "Ext 10 - derived effective DRAM bandwidth (DDR row-buffer model)",
         &[
@@ -414,21 +424,21 @@ pub fn ext_ddr_bandwidth(config: AccelConfig, batch: usize) -> ExtSweepResult {
                 config.pe_cols,
                 config.elem_bytes,
             );
-            let cost = fm_stream_cost(&mut channel, dims, &plan, config.elem_bytes);
+            let cost = *replays
+                .entry((dims, plan.tr, plan.tc))
+                .or_insert_with(|| fm_stream_cost(&mut channel, dims, &plan, config.elem_bytes));
             cycles += cost.cycles;
             bytes += cost.bytes_requested;
             hits += cost.row_hits;
             bursts += cost.row_hits + cost.row_misses;
         }
-        channel.reset();
-        let w_cost = channel.cost_of_stream(weight_stream(0, 16 << 20));
         let fm_eff = bytes as f64 / cycles.max(1) as f64;
         let hit_rate = hits as f64 / bursts.max(1) as f64;
         table.row(&[
             net.name().to_string(),
             format!("{fm_eff:.1}"),
             pct(hit_rate),
-            format!("{:.1}", w_cost.effective_bytes_per_cycle()),
+            format!("{w_eff:.1}"),
             format!(
                 "{:.0} / {:.0}",
                 config.fm_dram.bytes_per_cycle, config.weight_dram.bytes_per_cycle
@@ -683,6 +693,46 @@ mod tests {
             assert!(*fm_eff < 48.0, "{name}: {fm_eff}");
             assert!(*fm_eff > 1.5, "{name}: {fm_eff}");
             assert!((0.0..1.0).contains(hit_rate), "{name}");
+        }
+    }
+
+    #[test]
+    fn ddr_bandwidth_rows_equal_a_replay_of_every_layer() {
+        use sm_accel::addrgen::fm_stream_cost;
+        use sm_accel::tiling::{plan_conv, ConvDims};
+        use sm_mem::ddr::{DdrChannel, DdrTimings};
+
+        // The memo-free derivation: every conv layer's stream, replayed.
+        let reference = |cfg: AccelConfig, batch: usize| -> Vec<(String, String, f64, f64)> {
+            let mut channel = DdrChannel::new(DdrTimings::default());
+            let caps = cfg.tile_caps();
+            let mut rows = Vec::new();
+            for net in zoo::evaluated_networks(batch) {
+                let (mut cycles, mut bytes, mut hits, mut bursts) = (0u64, 0u64, 0u64, 0u64);
+                for layer in net.layers() {
+                    let Some(dims) = ConvDims::from_layer(&net, layer) else {
+                        continue;
+                    };
+                    let plan = plan_conv(dims, caps, cfg.pe_rows, cfg.pe_cols, cfg.elem_bytes);
+                    let cost = fm_stream_cost(&mut channel, dims, &plan, cfg.elem_bytes);
+                    cycles += cost.cycles;
+                    bytes += cost.bytes_requested;
+                    hits += cost.row_hits;
+                    bursts += cost.row_hits + cost.row_misses;
+                }
+                let fm_eff = bytes as f64 / cycles.max(1) as f64;
+                let hit_rate = hits as f64 / bursts.max(1) as f64;
+                rows.push((net.name().to_string(), "fm".to_string(), fm_eff, hit_rate));
+            }
+            rows
+        };
+        // Batch 2 changes every shape; 64 KiB of feature-map SRAM keeps
+        // batch 1's shapes but changes their plans.
+        let cfg = AccelConfig::default();
+        let small = cfg.with_fm_capacity(64 << 10);
+        for (cfg, batch) in [(cfg, 1), (cfg, 2), (small, 1)] {
+            // `==` on the f64 fields: the memo must be exact, not close.
+            assert_eq!(ext_ddr_bandwidth(cfg, batch).rows, reference(cfg, batch));
         }
     }
 

@@ -23,8 +23,34 @@
 //! bounds the makespan without sacrificing byte-identity;
 //! [`par_map_stream`] runs that same schedule while streaming results in
 //! input order under an optional cancel check.
+//!
+//! Parallelism is **one level deep**: a dispatch made on a worker that
+//! [`par_map`] or [`par_map_stream`] spawned runs inline on that worker,
+//! through the same serial path as `threads == 1`, instead of starting a
+//! second pool. `all_experiments` runs its twelve table builders on the
+//! pool and each builder sweeps its own points; with nested pools every
+//! builder paid a pool spawn per sweep and oversubscribed the cores.
+//! Threads the pool did not spawn (the main thread, `smctl serve`'s request
+//! threads) fan out as before. Results come back in serial order either
+//! way, so the rule changes wall-clock time only.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// Set on the workers [`par_map`] and [`par_map_stream`] spawn.
+    static POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The worker count a dispatch of `items` items actually uses: 1 on a pool
+/// worker (the one-level rule), else `threads` capped by the item count.
+fn workers_for(items: usize, threads: usize) -> usize {
+    if POOL_WORKER.with(Cell::get) {
+        1
+    } else {
+        threads.min(items).max(1)
+    }
+}
 
 /// Process-wide thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -90,8 +116,8 @@ pub fn parse_threads_flag(args: &mut Vec<String>) -> Result<Option<usize>, Strin
 /// The output is exactly `items.iter().map(f).collect()` — workers claim
 /// items through an atomic counter and tag each result with its index, so
 /// scheduling nondeterminism never reaches the caller. With `threads <= 1`
-/// (or one item) the call degenerates to the serial loop, no threads
-/// spawned.
+/// (or one item), or when called on a pool worker, the call degenerates to
+/// the serial loop, no threads spawned.
 ///
 /// # Example
 ///
@@ -107,7 +133,7 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let workers = threads.min(items.len()).max(1);
+    let workers = workers_for(items.len(), threads);
     if workers == 1 {
         return items.iter().map(f).collect();
     }
@@ -118,6 +144,7 @@ where
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             handles.push(scope.spawn(|| {
+                POOL_WORKER.with(|w| w.set(true));
                 let mut mine: Vec<(usize, U)> = Vec::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -254,7 +281,7 @@ where
     G: FnMut(usize, &U),
 {
     let cancelled = || cancel.is_some_and(|c| c());
-    let workers = threads.min(items.len()).max(1);
+    let workers = workers_for(items.len(), threads);
     if workers == 1 {
         let mut out = Vec::with_capacity(items.len());
         for (i, item) in items.iter().enumerate() {
@@ -277,6 +304,7 @@ where
         for queue in &queues {
             let tx = tx.clone();
             scope.spawn(move || {
+                POOL_WORKER.with(|w| w.set(true));
                 for &i in queue {
                     if cancelled() {
                         break;
@@ -542,6 +570,55 @@ mod tests {
         );
         // The streamed prefix is contiguous from zero.
         assert_eq!(seen, (0..seen.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_dispatch_on_a_pool_worker_runs_inline_on_that_worker() {
+        type Tagged = (std::thread::ThreadId, u64);
+        let inner: Vec<u64> = (0..9).collect();
+        let expect: Vec<u64> = inner.iter().map(|x| x * 3).collect();
+        let tagged = |x: &u64| (std::thread::current().id(), x * 3);
+        // Every entry point, called on a worker of either pool kind.
+        let nested = |_: &u64| -> (std::thread::ThreadId, [Vec<Tagged>; 3]) {
+            let plain = par_map(&inner, 4, tagged);
+            let weighted = par_map_weighted(&inner, 4, |&x| x, tagged);
+            let streamed = par_map_stream(&inner, 4, |&x| x, tagged, |_, _| {}, None)
+                .expect("no cancel check");
+            (std::thread::current().id(), [plain, weighted, streamed])
+        };
+        let outer: Vec<u64> = (0..4).collect();
+        let main = std::thread::current().id();
+        let runs = [
+            par_map(&outer, 2, nested),
+            par_map_weighted(&outer, 2, |_| 1, nested),
+        ];
+        for (worker, maps) in runs.into_iter().flatten() {
+            assert_ne!(worker, main, "the outer dispatch must use its pool");
+            for map in maps {
+                assert!(
+                    map.iter().all(|(t, _)| *t == worker),
+                    "item left its worker"
+                );
+                let values: Vec<u64> = map.into_iter().map(|(_, u)| u).collect();
+                assert_eq!(values, expect);
+            }
+        }
+    }
+
+    #[test]
+    fn a_dispatch_from_a_plain_scoped_thread_still_fans_out() {
+        // `smctl serve` runs each request on a plain `std::thread::scope`
+        // thread; its sweeps must keep their pool.
+        let ids = std::thread::scope(|scope| {
+            scope
+                .spawn(|| par_map_weighted(&[1u64, 1], 2, |&c| c, |_| std::thread::current().id()))
+                .join()
+                .expect("request thread panicked")
+        });
+        assert_ne!(
+            ids[0], ids[1],
+            "two equal-cost items at 2 threads use two workers"
+        );
     }
 
     #[test]
