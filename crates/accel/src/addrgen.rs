@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn weights_sustain_far_more_bandwidth_than_fm_tiles() {
-        let mut ch = DdrChannel::new(DdrTimings::default());
+        let mut ch = DdrChannel::new(DdrTimings::default()).expect("default geometry");
         let w_cost = ch.cost_of_stream(weight_stream(0, 4 << 20));
         let w_eff = w_cost.effective_bytes_per_cycle();
 
@@ -189,7 +189,7 @@ mod tests {
             out_w: 7,
             ..wide
         };
-        let mut ch = DdrChannel::new(DdrTimings::default());
+        let mut ch = DdrChannel::new(DdrTimings::default()).expect("default geometry");
         let caps = small_caps();
         let w_plan = plan_conv(wide, caps, 64, 64, 2);
         let n_plan = plan_conv(narrow, caps, 64, 64, 2);
@@ -205,7 +205,12 @@ mod tests {
     fn stream_cost_does_not_depend_on_what_the_channel_replayed_before() {
         let d = dims();
         let plan = plan_conv(d, small_caps(), 64, 64, 2);
-        let fresh = fm_stream_cost(&mut DdrChannel::new(DdrTimings::default()), d, &plan, 2);
+        let fresh = fm_stream_cost(
+            &mut DdrChannel::new(DdrTimings::default()).expect("default geometry"),
+            d,
+            &plan,
+            2,
+        );
 
         // Another shape's stream, then a weight stream, leave rows open.
         let other = ConvDims {
@@ -218,7 +223,7 @@ mod tests {
             ..d
         };
         let other_plan = plan_conv(other, small_caps(), 64, 64, 2);
-        let mut ch = DdrChannel::new(DdrTimings::default());
+        let mut ch = DdrChannel::new(DdrTimings::default()).expect("default geometry");
         assert_ne!(fm_stream_cost(&mut ch, other, &other_plan, 2), fresh);
         assert_eq!(fm_stream_cost(&mut ch, d, &plan, 2), fresh);
         ch.cost_of_stream(weight_stream(4096, 3 << 20));
@@ -229,7 +234,7 @@ mod tests {
     fn stream_cost_matches_requested_traffic() {
         let d = dims();
         let plan = plan_conv(d, small_caps(), 64, 64, 2);
-        let mut ch = DdrChannel::new(DdrTimings::default());
+        let mut ch = DdrChannel::new(DdrTimings::default()).expect("default geometry");
         let cost = fm_stream_cost(&mut ch, d, &plan, 2);
         // The replayed payload equals the halo-expanded fetch the traffic
         // model charges (per image).

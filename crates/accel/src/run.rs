@@ -81,7 +81,7 @@ pub fn layer_work(
             // One filter per channel: only the PE rows parallelize
             // (channels); the column dimension idles — the well-known poor
             // utilization of depthwise layers on MAC arrays.
-            let in_shape = net.in_shapes(layer.id)[0];
+            let in_shape = net.layer(layer.inputs[0]).out_shape;
             work(
                 in_shape.n as u64
                     * in_shape.c.div_ceil(cfg.pe_rows) as u64
@@ -102,7 +102,7 @@ pub fn layer_work(
             0,
         ),
         LayerKind::Fc { out_features } => {
-            let in_shape = net.in_shapes(layer.id)[0];
+            let in_shape = net.layer(layer.inputs[0]).out_shape;
             let in_features = in_shape.per_image();
             let batch = in_shape.n;
             let w_bytes = (out_features * in_features) as u64 * elem;
@@ -201,7 +201,7 @@ impl<'a> RunBuilder<'a> {
             self.cfg.layer_overhead + faults.stall_cycles,
         );
         self.total_cycles += cycles.total;
-        let macs = layer.macs(&self.net.in_shapes(layer.id));
+        let macs = layer.macs(self.net.in_shapes(layer.id));
         self.macs += macs;
         self.layers.push(LayerReport {
             id,

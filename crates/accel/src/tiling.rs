@@ -19,7 +19,9 @@
 //! and Shortcut Mining — the paper's gain comes from *cross-layer* reuse, so
 //! the per-layer schedule is held identical to isolate it.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 
@@ -56,12 +58,13 @@ pub struct ConvDims {
 impl ConvDims {
     /// Extracts dimensions from a convolution layer of `net`.
     ///
-    /// Returns `None` for non-convolution layers.
+    /// Returns `None` for non-convolution layers and for a convolution
+    /// without an input.
     pub fn from_layer(net: &Network, layer: &Layer) -> Option<ConvDims> {
         let LayerKind::Conv(spec) = layer.kind else {
             return None;
         };
-        let in_shape = net.in_shapes(layer.id)[0];
+        let in_shape = net.in_shapes(layer.id).next()?;
         Some(ConvDims::new(in_shape, spec, layer.out_shape))
     }
 
@@ -358,7 +361,7 @@ pub fn plan_conv(
     }
 }
 
-/// Cache key: everything [`plan_conv`] is a pure function of.
+/// Cache key: everything [`plan_conv`] is a pure function of (17 words).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanKey {
     dims: ConvDims,
@@ -368,6 +371,72 @@ struct PlanKey {
     elem_bytes: u64,
 }
 
+/// Multiplier of [`fold`]: odd, with well-mixed bits (the 64-bit golden
+/// ratio).
+const FOLD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Folded multiply: the low half of `x · FOLD_MUL` XOR its high half.
+fn fold(x: u64) -> u64 {
+    let product = u128::from(x) * u128::from(FOLD_MUL);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// Seeds [`PlanHasher`]s: one random seed per process, drawn from std's
+/// `RandomState`, so the memo stays keyed against crafted shapes.
+#[derive(Debug, Clone, Copy)]
+struct PlanHashState {
+    seed: u64,
+}
+
+impl PlanHashState {
+    fn random() -> Self {
+        PlanHashState {
+            seed: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl BuildHasher for PlanHashState {
+    type Hasher = PlanHasher;
+
+    fn build_hasher(&self) -> PlanHasher {
+        PlanHasher { state: self.seed }
+    }
+}
+
+/// The memo's hasher, a keyed folded multiply in the style of foldhash:
+/// each word is mixed in as `fold(state ^ word)`, and `finish` folds once
+/// more so that a difference in the high half of the last word still
+/// reaches the low bits the table indexes by.
+#[derive(Debug, Clone, Copy)]
+struct PlanHasher {
+    state: u64,
+}
+
+impl Hasher for PlanHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.state = fold(self.state ^ word);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        fold(self.state)
+    }
+}
+
+type PlanMemo = HashMap<PlanKey, TilePlan, PlanHashState>;
+
 /// Most plans [`plan_conv_cached`] keeps; an insert into a full memo
 /// clears it first. Regenerating every figure inserts about 4,000 plans,
 /// so only a long-running `smctl serve` that keeps sweeping new
@@ -375,12 +444,12 @@ struct PlanKey {
 /// entries in a table of 131,072 buckets.
 pub const PLAN_CACHE_MAX_PLANS: usize = 65_536;
 
-static PLAN_CACHE: OnceLock<RwLock<HashMap<PlanKey, TilePlan>>> = OnceLock::new();
+static PLAN_CACHE: OnceLock<RwLock<PlanMemo>> = OnceLock::new();
 static PLAN_HITS: AtomicU64 = AtomicU64::new(0);
 static PLAN_MISSES: AtomicU64 = AtomicU64::new(0);
 
-fn plan_cache() -> &'static RwLock<HashMap<PlanKey, TilePlan>> {
-    PLAN_CACHE.get_or_init(|| RwLock::new(HashMap::new()))
+fn plan_cache() -> &'static RwLock<PlanMemo> {
+    PLAN_CACHE.get_or_init(|| RwLock::new(HashMap::with_hasher(PlanHashState::random())))
 }
 
 /// Memoized [`plan_conv`]: identical `(dims, caps, pe_rows, pe_cols,
@@ -394,6 +463,11 @@ fn plan_cache() -> &'static RwLock<HashMap<PlanKey, TilePlan>> {
 /// unchanged) stop paying for the design-space exploration. The cache is
 /// thread-safe; parallel sweep workers share it, and it holds at most
 /// [`PLAN_CACHE_MAX_PLANS`] plans.
+///
+/// The memo hashes its 17-word key with a folded multiply seeded once per
+/// process, not std's SipHash: a hit costs about a third as much. It stays
+/// keyed because ingested graph documents reach it, and an unkeyed hash
+/// would let crafted shapes force collisions.
 pub fn plan_conv_cached(
     dims: ConvDims,
     caps: TileCaps,
@@ -634,7 +708,7 @@ mod tests {
             if let Some(d) = ConvDims::from_layer(&net, layer) {
                 assert_eq!(
                     d.macs(),
-                    layer.macs(&net.in_shapes(layer.id)),
+                    layer.macs(net.in_shapes(layer.id)),
                     "{}",
                     layer.name
                 );
@@ -665,6 +739,132 @@ mod tests {
         let (hits, misses) = plan_cache_stats();
         assert!(hits >= 6, "every re-query must hit: {hits}");
         assert!(misses >= 6 || hits > 6, "first queries miss: {misses}");
+    }
+
+    /// The 17 words of a key, in field order: a 3x3 convolution with
+    /// 56x56 outputs at the default PE geometry, over an input large
+    /// enough that any one word can grow by 255 and every output row still
+    /// reads inside it (the planner assumes consistent shapes).
+    fn base_words() -> [u64; 17] {
+        let (c, d) = (big_caps(), dims_56x56());
+        let d = ConvDims {
+            in_h: 1 << 14,
+            in_w: 1 << 14,
+            ..d
+        };
+        [
+            d.batch as u64,
+            d.in_c as u64,
+            d.in_h as u64,
+            d.in_w as u64,
+            d.out_c as u64,
+            d.out_h as u64,
+            d.out_w as u64,
+            d.kernel as u64,
+            d.stride as u64,
+            d.pad as u64,
+            c.ifm_bytes,
+            c.ofm_bytes,
+            c.weight_tile_bytes,
+            c.weight_total_bytes,
+            64,
+            64,
+            2,
+        ]
+    }
+
+    fn key_of(w: [u64; 17]) -> PlanKey {
+        let u = |i: usize| w[i] as usize;
+        PlanKey {
+            dims: ConvDims {
+                batch: u(0),
+                in_c: u(1),
+                in_h: u(2),
+                in_w: u(3),
+                out_c: u(4),
+                out_h: u(5),
+                out_w: u(6),
+                kernel: u(7),
+                stride: u(8),
+                pad: u(9),
+            },
+            caps: TileCaps {
+                ifm_bytes: w[10],
+                ofm_bytes: w[11],
+                weight_tile_bytes: w[12],
+                weight_total_bytes: w[13],
+            },
+            pe_rows: u(14),
+            pe_cols: u(15),
+            elem_bytes: w[16],
+        }
+    }
+
+    /// Keys that differ from the base key only in `word`, by `i << shift`
+    /// for `i` in `0..count`.
+    fn keys_varying(word: usize, shift: u32, count: u64) -> impl Iterator<Item = PlanKey> {
+        (0..count).map(move |i| {
+            let mut w = base_words();
+            w[word] = w[word].wrapping_add(i << shift);
+            key_of(w)
+        })
+    }
+
+    #[test]
+    fn memo_hash_spreads_every_key_word_like_a_random_hash() {
+        // 16,384 keys into 16,384 buckets (the low 14 bits): a random hash
+        // fills 1 - (1 - 1/n)^n of them, about 10,360.
+        const KEYS: u64 = 1 << 14;
+        let n = KEYS as f64;
+        let random_fill = n * (1.0 - (1.0 - 1.0 / n).powf(n));
+        for seed in [0, 0x0123_4567_89ab_cdef] {
+            let state = PlanHashState { seed };
+            for word in 0..17 {
+                for shift in [0, 32] {
+                    let mut filled = vec![false; KEYS as usize];
+                    for key in keys_varying(word, shift, KEYS) {
+                        filled[(state.hash_one(key) % KEYS) as usize] = true;
+                    }
+                    let filled = filled.iter().filter(|&&f| f).count();
+                    assert!(
+                        filled as f64 >= 0.9 * random_fill,
+                        "seed {seed:#x}, word {word}, shift {shift}: {filled} buckets filled, \
+                         a random hash fills {random_fill:.0}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_hash_depends_on_the_seed() {
+        let key = key_of(base_words());
+        let hash = |seed| PlanHashState { seed }.hash_one(key);
+        assert_ne!(hash(1), hash(2));
+        assert_eq!(hash(1), hash(1));
+    }
+
+    #[test]
+    fn memo_returns_the_planner_result_for_every_varied_key() {
+        // The `i << 32` key sets overflow the planner's arithmetic, so the
+        // memo is checked on the first 256 keys of each `i` set: a miss,
+        // then a hit, must both equal the planner.
+        for word in 0..17 {
+            for key in keys_varying(word, 0, 256) {
+                let PlanKey {
+                    dims,
+                    caps,
+                    pe_rows,
+                    pe_cols,
+                    elem_bytes,
+                } = key;
+                let direct = plan_conv(dims, caps, pe_rows, pe_cols, elem_bytes);
+                for _ in 0..2 {
+                    let cached = plan_conv_cached(dims, caps, pe_rows, pe_cols, elem_bytes);
+                    assert_eq!(cached, direct, "word {word}: {key:?}");
+                }
+            }
+        }
     }
 
     #[test]

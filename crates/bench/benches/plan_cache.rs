@@ -9,6 +9,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use sm_accel::tiling::{plan_cache_clear, plan_conv_cached, ConvDims, TileCaps};
+use sm_accel::AccelConfig;
+use sm_model::zoo;
 
 fn key_set() -> (Vec<ConvDims>, TileCaps) {
     let caps = TileCaps {
@@ -41,6 +43,22 @@ fn bench_plan_cache(c: &mut Criterion) {
             black_box(plan_conv_cached(dims, caps, 64, 64, 2));
         }
     };
+    // The lookups one simulated ResNet-152 makes: its convolutions at the
+    // default configuration's tile capacities, every one a hit when warm.
+    let cfg = AccelConfig::default();
+    let net = zoo::resnet152(1);
+    let convs: Vec<ConvDims> = net
+        .layers()
+        .iter()
+        .filter_map(|layer| ConvDims::from_layer(&net, layer))
+        .collect();
+    let net_caps = cfg.tile_caps();
+    let plan_net = || {
+        for &dims in &convs {
+            let plan = plan_conv_cached(dims, net_caps, cfg.pe_rows, cfg.pe_cols, cfg.elem_bytes);
+            black_box(plan);
+        }
+    };
 
     let mut g = c.benchmark_group("plan_cache");
     g.throughput(Throughput::Elements(keys.len() as u64));
@@ -53,6 +71,11 @@ fn bench_plan_cache(c: &mut Criterion) {
     g.bench_function("warm_64_keys", |b| {
         plan_all(); // populate once
         b.iter(plan_all);
+    });
+    g.throughput(Throughput::Elements(convs.len() as u64));
+    g.bench_function("warm_resnet152_convs", |b| {
+        plan_net(); // populate once
+        b.iter(plan_net);
     });
     g.finish();
 }

@@ -3,7 +3,7 @@
 //! spill-order ablation, and capacity planning.
 
 use sm_accel::AccelConfig;
-use sm_core::analysis::{capacity_for_fraction, ReuseBounds};
+use sm_core::analysis::ReuseBounds;
 use sm_core::{Experiment, Policy, SpillOrder};
 use sm_model::zoo;
 use sm_model::Network;
@@ -110,7 +110,8 @@ pub fn ext_capacity_requirements(config: AccelConfig, batch: usize) -> Table {
     ] {
         let bounds = ReuseBounds::of(&net, config, Policy::shortcut_mining())
             .expect("zoo networks are well-formed");
-        let cap95 = capacity_for_fraction(&net, config, Policy::shortcut_mining(), 0.95)
+        let cap95 = bounds
+            .capacity_for_fraction(&net, config, Policy::shortcut_mining(), 0.95)
             .expect("zoo networks are well-formed");
         table.row(&[
             net.name().to_string(),
@@ -390,7 +391,8 @@ pub fn ext_ddr_bandwidth(config: AccelConfig, batch: usize) -> ExtSweepResult {
     use std::collections::HashMap;
 
     let caps = config.tile_caps();
-    let mut channel = DdrChannel::new(DdrTimings::default());
+    let mut channel =
+        DdrChannel::new(DdrTimings::default()).expect("the default DDR geometry is powers of two");
     // Each distinct stream is replayed once. Every network streams the
     // same 16 MiB of weights. A layer's replay depends only on its shape
     // and tile extents (the channel is reset first, and the timings and
@@ -704,7 +706,7 @@ mod tests {
 
         // The memo-free derivation: every conv layer's stream, replayed.
         let reference = |cfg: AccelConfig, batch: usize| -> Vec<(String, String, f64, f64)> {
-            let mut channel = DdrChannel::new(DdrTimings::default());
+            let mut channel = DdrChannel::new(DdrTimings::default()).expect("default geometry");
             let caps = cfg.tile_caps();
             let mut rows = Vec::new();
             for net in zoo::evaluated_networks(batch) {

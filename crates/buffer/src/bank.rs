@@ -179,7 +179,17 @@ impl BankPool {
     /// xor disabled, and the free list has no duplicates. Used by tests and
     /// debug asserts.
     pub fn check_conservation(&self) -> bool {
-        let mut seen = vec![false; self.config.bank_count];
+        // The simulators assert this after every layer in debug builds, so
+        // pools of up to 1,024 banks track the free list on the stack.
+        let mut on_stack = [false; 1024];
+        let mut on_heap;
+        let seen: &mut [bool] = match on_stack.get_mut(..self.config.bank_count) {
+            Some(seen) => seen,
+            None => {
+                on_heap = vec![false; self.config.bank_count];
+                &mut on_heap
+            }
+        };
         for b in &self.free {
             if seen[b.0] || self.owner[b.0].is_some() || self.disabled[b.0] {
                 return false;

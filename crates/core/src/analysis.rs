@@ -9,8 +9,9 @@
 //! * [`ReuseBounds::ideal_reduction`] — the traffic reduction at effectively
 //!   infinite capacity: the ceiling set by the network topology (boundary
 //!   I/O and streaming overheads remain).
-//! * [`capacity_for_fraction`] — the smallest pool (via bisection over
-//!   simulated runs) achieving a target fraction of that ceiling.
+//! * [`ReuseBounds::capacity_for_fraction`] — the smallest pool (via
+//!   bisection over simulated runs) achieving a target fraction of that
+//!   ceiling.
 
 use serde::Serialize;
 
@@ -84,45 +85,48 @@ impl ReuseBounds {
             )?,
         })
     }
-}
 
-/// Smallest feature-map capacity (bisection, 8 KiB resolution) at which the
-/// policy achieves at least `fraction` of its ideal reduction. Returns
-/// `Ok(None)` when even an effectively infinite pool misses the target
-/// (fraction > 1), and [`SimError::Analysis`] for a fraction that is not a
-/// finite non-negative number.
-pub fn capacity_for_fraction(
-    net: &Network,
-    config: AccelConfig,
-    policy: Policy,
-    fraction: f64,
-) -> Result<Option<u64>, SimError> {
-    if !fraction.is_finite() || fraction < 0.0 {
-        return Err(SimError::Analysis {
-            message: format!("target fraction {fraction} is not a finite non-negative number"),
-        });
-    }
-    let ideal = reduction_at_capacity(net, config, policy, INFINITE_CAPACITY)?;
-    let target = ideal * fraction;
-    if ideal < target {
-        return Ok(None);
-    }
-    let (mut lo, mut hi) = (8u64 * 1024, INFINITE_CAPACITY);
-    if reduction_at_capacity(net, config, policy, lo)? >= target {
-        return Ok(Some(lo));
-    }
-    // Invariant: reduction(lo) < target <= reduction(hi). Reduction is
-    // monotone in capacity up to simulation granularity; bisection finds
-    // the crossover to 8 KiB.
-    while hi - lo > 8 * 1024 {
-        let mid = lo + (hi - lo) / 2;
-        if reduction_at_capacity(net, config, policy, mid)? >= target {
-            hi = mid;
-        } else {
-            lo = mid;
+    /// Smallest feature-map capacity (bisection, 8 KiB resolution) at
+    /// which `policy` achieves at least `fraction` of these bounds' ideal
+    /// reduction; `net`, `config` and `policy` must be the ones the bounds
+    /// were computed for. Reusing the ideal saves re-simulating the 1 GiB
+    /// probe. Returns `Ok(None)` when even an effectively infinite pool
+    /// misses the target (fraction > 1), and [`SimError::Analysis`] for a
+    /// fraction that is not a finite non-negative number.
+    pub fn capacity_for_fraction(
+        &self,
+        net: &Network,
+        config: AccelConfig,
+        policy: Policy,
+        fraction: f64,
+    ) -> Result<Option<u64>, SimError> {
+        if !fraction.is_finite() || fraction < 0.0 {
+            return Err(SimError::Analysis {
+                message: format!("target fraction {fraction} is not a finite non-negative number"),
+            });
         }
+        let ideal = self.ideal_reduction;
+        let target = ideal * fraction;
+        if ideal < target {
+            return Ok(None);
+        }
+        let (mut lo, mut hi) = (8u64 * 1024, INFINITE_CAPACITY);
+        if reduction_at_capacity(net, config, policy, lo)? >= target {
+            return Ok(Some(lo));
+        }
+        // Invariant: reduction(lo) < target <= reduction(hi). Reduction is
+        // monotone in capacity up to simulation granularity; bisection
+        // finds the crossover to 8 KiB.
+        while hi - lo > 8 * 1024 {
+            let mid = lo + (hi - lo) / 2;
+            if reduction_at_capacity(net, config, policy, mid)? >= target {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Ok(Some(hi))
     }
-    Ok(Some(hi))
 }
 
 #[cfg(test)]
@@ -165,7 +169,9 @@ mod tests {
     fn capacity_bisection_finds_a_sufficient_pool() {
         let cfg = AccelConfig::default();
         let net = zoo::resnet_tiny(2, 1);
-        let cap = capacity_for_fraction(&net, cfg, Policy::shortcut_mining(), 0.95)
+        let cap = ReuseBounds::of(&net, cfg, Policy::shortcut_mining())
+            .expect("valid input")
+            .capacity_for_fraction(&net, cfg, Policy::shortcut_mining(), 0.95)
             .expect("valid input")
             .expect("achievable");
         let at_cap =
@@ -186,13 +192,16 @@ mod tests {
             .expect_err("zero capacity");
         assert!(matches!(err, SimError::Analysis { .. }), "{err}");
         // A non-finite target fraction is refused the same way.
+        let bounds = ReuseBounds::of(&net, cfg, Policy::shortcut_mining()).expect("valid input");
         for bad in [f64::NAN, f64::INFINITY, -0.5] {
-            let err = capacity_for_fraction(&net, cfg, Policy::shortcut_mining(), bad)
+            let err = bounds
+                .capacity_for_fraction(&net, cfg, Policy::shortcut_mining(), bad)
                 .expect_err("bad fraction");
             assert!(matches!(err, SimError::Analysis { .. }), "{err}");
         }
         // An over-unity fraction is a well-formed question with answer "no".
-        let none = capacity_for_fraction(&net, cfg, Policy::shortcut_mining(), 1.5)
+        let none = bounds
+            .capacity_for_fraction(&net, cfg, Policy::shortcut_mining(), 1.5)
             .expect("well-formed question");
         assert_eq!(none, None);
     }

@@ -388,7 +388,10 @@ impl<'a> Sim<'a> {
             // the pipeline with linear backoff.
             let mut traffic = ClassTotals::new();
             let mut cost = FaultCost::default();
-            for (class, bytes) in std::mem::take(&mut self.layer_traffic) {
+            // Drained from a local and put back, so one buffer serves every
+            // layer.
+            let mut layer_traffic = std::mem::take(&mut self.layer_traffic);
+            for (class, bytes) in layer_traffic.drain(..) {
                 traffic.record(class, bytes);
                 let Some(inj) = self.injector.as_mut() else {
                     continue;
@@ -416,6 +419,7 @@ impl<'a> Sim<'a> {
                     }
                 }
             }
+            self.layer_traffic = layer_traffic;
             // Weight-SRAM / PE-array / BCU-table site faults: ECC taxes
             // every protected access (including the table scrub); parity
             // repairs detected strikes by refetch, lane recompute, or
@@ -836,7 +840,6 @@ impl<'a> Sim<'a> {
                 let all_operand_bytes: u64 = self
                     .net
                     .in_shapes(layer.id)
-                    .iter()
                     .map(|s| s.len() as u64 * self.elem())
                     .sum();
                 (RecoveryAction::Refetched, all_operand_bytes)

@@ -14,6 +14,17 @@
 //! on real tile schedules. The `ext_ddr_bandwidth` experiment quantifies
 //! this per network and records how it bounds (but does not fully explain)
 //! the calibrated FM-channel de-rating — see EXPERIMENTS.md Ext-10.
+//!
+//! # Geometry contract
+//!
+//! `burst_bytes`, `row_bytes` and `banks` must each be a non-zero power of
+//! two; [`DdrChannel::new`] refuses any other geometry with a
+//! [`DdrGeometryError`]. Every burst of a replay is then mapped to its bank
+//! and row with shifts and a mask instead of three divisions and a
+//! modulo. Real DDR parts have power-of-two geometry, so no model loses
+//! anything to the contract.
+
+use std::fmt;
 
 use serde::Serialize;
 
@@ -96,6 +107,37 @@ impl DdrCost {
     }
 }
 
+/// A DDR geometry [`DdrChannel::new`] refuses: one of its fields is zero or
+/// not a power of two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DdrGeometryError {
+    /// The offending [`DdrTimings`] field.
+    pub field: &'static str,
+    /// Its value.
+    pub value: u64,
+}
+
+impl fmt::Display for DdrGeometryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "DDR {} must be a non-zero power of two, got {}",
+            self.field, self.value
+        )
+    }
+}
+
+impl std::error::Error for DdrGeometryError {}
+
+/// `log2(value)` when `value` is a non-zero power of two.
+fn log2_exact(field: &'static str, value: u64) -> Result<u32, DdrGeometryError> {
+    if value.is_power_of_two() {
+        Ok(value.trailing_zeros())
+    } else {
+        Err(DdrGeometryError { field, value })
+    }
+}
+
 /// One DDR channel with open-page row-buffer state per bank.
 ///
 /// Address mapping: columns fill a row, rows interleave across banks
@@ -107,7 +149,7 @@ impl DdrCost {
 /// ```
 /// use sm_mem::ddr::{DdrChannel, DdrTimings};
 ///
-/// let mut ch = DdrChannel::new(DdrTimings::default());
+/// let mut ch = DdrChannel::new(DdrTimings::default()).expect("power-of-two geometry");
 /// let sequential = ch.cost_of_stream([(0u64, 1u64 << 20)]);
 /// ch.reset();
 /// let hopping = ch.cost_of_stream((0..1024u64).map(|i| (i * 8192, 64u64)));
@@ -116,16 +158,33 @@ impl DdrCost {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DdrChannel {
     timings: DdrTimings,
+    /// `log2(burst_bytes)`.
+    burst_shift: u32,
+    /// `log2(row_bytes)`.
+    row_shift: u32,
+    /// `log2(banks)`.
+    bank_shift: u32,
+    /// `banks - 1`.
+    bank_mask: u64,
     open_rows: Vec<Option<u64>>,
 }
 
 impl DdrChannel {
     /// Creates a channel with all rows closed.
-    pub fn new(timings: DdrTimings) -> Self {
-        DdrChannel {
-            open_rows: vec![None; timings.banks.max(1)],
+    ///
+    /// # Errors
+    ///
+    /// [`DdrGeometryError`] when `burst_bytes`, `row_bytes` or `banks` is
+    /// zero or not a power of two (see the module's geometry contract).
+    pub fn new(timings: DdrTimings) -> Result<Self, DdrGeometryError> {
+        Ok(DdrChannel {
+            burst_shift: log2_exact("burst_bytes", timings.burst_bytes)?,
+            row_shift: log2_exact("row_bytes", timings.row_bytes)?,
+            bank_shift: log2_exact("banks", timings.banks as u64)?,
+            bank_mask: timings.banks as u64 - 1,
+            open_rows: vec![None; timings.banks],
             timings,
-        }
+        })
     }
 
     /// The timing parameters.
@@ -146,13 +205,12 @@ impl DdrChannel {
         let t = self.timings;
         cost.bytes_requested += len;
         // Burst-aligned coverage of the span.
-        let first_burst = addr / t.burst_bytes;
-        let last_burst = (addr + len - 1) / t.burst_bytes;
+        let first_burst = addr >> self.burst_shift;
+        let last_burst = (addr + len - 1) >> self.burst_shift;
         for burst in first_burst..=last_burst {
-            let byte_addr = burst * t.burst_bytes;
-            let row_id = byte_addr / t.row_bytes;
-            let bank = (row_id % t.banks as u64) as usize;
-            let row_in_bank = row_id / t.banks as u64;
+            let row_id = (burst << self.burst_shift) >> self.row_shift;
+            let bank = (row_id & self.bank_mask) as usize;
+            let row_in_bank = row_id >> self.bank_shift;
             cost.bytes_on_bus += t.burst_bytes;
             if self.open_rows[bank] == Some(row_in_bank) {
                 cost.row_hits += 1;
@@ -184,11 +242,106 @@ impl DdrChannel {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The division-based replay the shifts replaced, kept as the oracle:
+    /// the same state machine with `open_rows` passed in.
+    fn oracle_cost(t: DdrTimings, open_rows: &mut [Option<u64>], spans: &[(u64, u64)]) -> DdrCost {
+        let mut cost = DdrCost::default();
+        for &(addr, len) in spans {
+            if len == 0 {
+                continue;
+            }
+            cost.bytes_requested += len;
+            let first_burst = addr / t.burst_bytes;
+            let last_burst = (addr + len - 1) / t.burst_bytes;
+            for burst in first_burst..=last_burst {
+                let byte_addr = burst * t.burst_bytes;
+                let row_id = byte_addr / t.row_bytes;
+                let bank = (row_id % t.banks as u64) as usize;
+                let row_in_bank = row_id / t.banks as u64;
+                cost.bytes_on_bus += t.burst_bytes;
+                if open_rows[bank] == Some(row_in_bank) {
+                    cost.row_hits += 1;
+                    cost.cycles += t.burst_cycles;
+                } else {
+                    let penalty = if open_rows[bank].is_some() { t.t_rp } else { 0 };
+                    cost.row_misses += 1;
+                    cost.cycles += penalty + t.t_rcd + t.t_cas + t.burst_cycles;
+                    open_rows[bank] = Some(row_in_bank);
+                }
+            }
+        }
+        cost
+    }
+
+    /// The default geometry and two others: (burst bytes, row bytes, banks).
+    const GEOMETRIES: [(u64, u64, usize); 3] =
+        [(64, 8 << 10, 8), (32, 2 << 10, 16), (128, 16 << 10, 4)];
+
+    fn timings(burst_bytes: u64, row_bytes: u64, banks: usize) -> DdrTimings {
+        DdrTimings {
+            burst_bytes,
+            row_bytes,
+            banks,
+            ..DdrTimings::default()
+        }
+    }
+
+    fn spans() -> impl Strategy<Value = Vec<(u64, u64)>> {
+        prop::collection::vec((0u64..1 << 22, 0u64..20_000), 0..64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Shift-and-mask replay equals the division oracle on every
+        /// geometry, including the bank state a second stream inherits.
+        #[test]
+        fn shifted_replay_matches_the_division_oracle(first in spans(), second in spans()) {
+            for (burst_bytes, row_bytes, banks) in GEOMETRIES {
+                let t = timings(burst_bytes, row_bytes, banks);
+                let mut ch = DdrChannel::new(t).expect("power-of-two geometry");
+                let mut open_rows = vec![None; banks];
+                for stream in [&first, &second] {
+                    let expected = oracle_cost(t, &mut open_rows, stream);
+                    prop_assert_eq!(ch.cost_of_stream(stream.iter().copied()), expected);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_power_of_two_geometry_is_a_typed_error() {
+        for bad in [0u64, 3, 48, 96, 1000] {
+            let cases = [
+                ("burst_bytes", timings(bad, 8 << 10, 8)),
+                ("row_bytes", timings(64, bad, 8)),
+                ("banks", timings(64, 8 << 10, bad as usize)),
+            ];
+            for (field, t) in cases {
+                assert_eq!(
+                    DdrChannel::new(t),
+                    Err(DdrGeometryError { field, value: bad }),
+                    "{field} = {bad}"
+                );
+            }
+        }
+        let err = DdrChannel::new(timings(64, 8 << 10, 6)).expect_err("6 banks");
+        assert_eq!(
+            err.to_string(),
+            "DDR banks must be a non-zero power of two, got 6"
+        );
+        for (burst_bytes, row_bytes, banks) in GEOMETRIES {
+            assert!(DdrChannel::new(timings(burst_bytes, row_bytes, banks)).is_ok());
+        }
+    }
 
     #[test]
     fn sequential_stream_runs_near_peak() {
-        let mut ch = DdrChannel::new(DdrTimings::default());
+        let mut ch = DdrChannel::new(DdrTimings::default()).expect("default geometry");
         // 1 MiB sequential: one miss per 8 KiB row, hits otherwise.
         let cost = ch.cost_of_stream([(0u64, 1 << 20)]);
         assert_eq!(cost.bytes_requested, 1 << 20);
@@ -200,7 +353,7 @@ mod tests {
 
     #[test]
     fn page_hopping_stream_collapses_bandwidth() {
-        let mut ch = DdrChannel::new(DdrTimings::default());
+        let mut ch = DdrChannel::new(DdrTimings::default()).expect("default geometry");
         // 64 bytes from the start of every 8 KiB page: all misses.
         let spans = (0..1024u64).map(|i| (i * 8 * 1024, 64u64));
         let cost = ch.cost_of_stream(spans);
@@ -212,7 +365,7 @@ mod tests {
 
     #[test]
     fn short_spans_waste_burst_payload() {
-        let mut ch = DdrChannel::new(DdrTimings::default());
+        let mut ch = DdrChannel::new(DdrTimings::default()).expect("default geometry");
         // 40-byte spans with 128-byte stride: each span costs a whole burst
         // (sometimes two when straddling), so bus bytes exceed payload.
         let spans = (0..100u64).map(|i| (i * 128, 40u64));
@@ -223,7 +376,7 @@ mod tests {
 
     #[test]
     fn revisiting_an_open_row_hits() {
-        let mut ch = DdrChannel::new(DdrTimings::default());
+        let mut ch = DdrChannel::new(DdrTimings::default()).expect("default geometry");
         let first = ch.cost_of_stream([(0u64, 64u64)]);
         assert_eq!(first.row_misses, 1);
         let second = ch.cost_of_stream([(64u64, 64u64)]);
@@ -237,7 +390,7 @@ mod tests {
     #[test]
     fn banks_hold_independent_rows() {
         let t = DdrTimings::default();
-        let mut ch = DdrChannel::new(t);
+        let mut ch = DdrChannel::new(t).expect("default geometry");
         // Rows 0..8 map to banks 0..8: opening all of them keeps all open.
         let spans: Vec<(u64, u64)> = (0..8u64).map(|r| (r * t.row_bytes, 64u64)).collect();
         let open = ch.cost_of_stream(spans.clone());
@@ -249,7 +402,7 @@ mod tests {
 
     #[test]
     fn empty_and_zero_len_streams_cost_nothing() {
-        let mut ch = DdrChannel::new(DdrTimings::default());
+        let mut ch = DdrChannel::new(DdrTimings::default()).expect("default geometry");
         assert_eq!(ch.cost_of_stream([]).cycles, 0);
         assert_eq!(ch.cost_of_stream([(100u64, 0u64)]).cycles, 0);
         assert_eq!(DdrCost::default().effective_bytes_per_cycle(), 0.0);

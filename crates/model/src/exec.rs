@@ -182,7 +182,7 @@ impl<'a> GoldenExecutor<'a> {
         let in_shapes = self.net.in_shapes(id);
         match layer.kind {
             LayerKind::Conv(spec) => {
-                let c_in: usize = in_shapes.iter().map(|s| s.c).sum();
+                let c_in: usize = in_shapes.map(|s| s.c).sum();
                 Some(Shape4::new(
                     spec.out_channels,
                     c_in,
@@ -191,11 +191,11 @@ impl<'a> GoldenExecutor<'a> {
                 ))
             }
             LayerKind::DepthwiseConv(spec) => {
-                let c: usize = in_shapes.iter().map(|s| s.c).sum();
+                let c: usize = in_shapes.map(|s| s.c).sum();
                 Some(Shape4::new(c, 1, spec.kernel, spec.kernel))
             }
             LayerKind::Fc { out_features } => {
-                let in_features: usize = in_shapes.iter().map(Shape4::per_image).sum();
+                let in_features: usize = in_shapes.map(|s| s.per_image()).sum();
                 Some(Shape4::new(out_features, in_features, 1, 1))
             }
             _ => None,

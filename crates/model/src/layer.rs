@@ -223,18 +223,19 @@ impl Layer {
     /// Number of weight elements the layer reads (zero for non-parametric
     /// layers). Bias elements are ignored: they are negligible against
     /// feature maps and kernels.
-    pub fn weight_elems(&self, in_shapes: &[Shape4]) -> usize {
+    pub fn weight_elems(&self, in_shapes: impl IntoIterator<Item = Shape4>) -> usize {
+        let in_shapes = in_shapes.into_iter();
         match self.kind {
             LayerKind::Conv(spec) => {
-                let c_in: usize = in_shapes.iter().map(|s| s.c).sum();
+                let c_in: usize = in_shapes.map(|s| s.c).sum();
                 spec.out_channels * c_in * spec.kernel * spec.kernel
             }
             LayerKind::DepthwiseConv(spec) => {
-                let c: usize = in_shapes.iter().map(|s| s.c).sum();
+                let c: usize = in_shapes.map(|s| s.c).sum();
                 c * spec.kernel * spec.kernel
             }
             LayerKind::Fc { out_features } => {
-                let in_features: usize = in_shapes.iter().map(Shape4::per_image).sum();
+                let in_features: usize = in_shapes.map(|s| s.per_image()).sum();
                 out_features * in_features
             }
             _ => 0,
@@ -244,15 +245,16 @@ impl Layer {
     /// Number of multiply-accumulate operations the layer performs for the
     /// full batch. Poolings and junctions count one op per output element so
     /// throughput denominators stay finite for every layer.
-    pub fn macs(&self, in_shapes: &[Shape4]) -> u64 {
+    pub fn macs(&self, in_shapes: impl IntoIterator<Item = Shape4>) -> u64 {
+        let in_shapes = in_shapes.into_iter();
         match self.kind {
             LayerKind::Input => 0,
             LayerKind::Conv(spec) => {
-                let c_in: usize = in_shapes.iter().map(|s| s.c).sum();
+                let c_in: usize = in_shapes.map(|s| s.c).sum();
                 self.out_shape.len() as u64 * (c_in * spec.kernel * spec.kernel) as u64
             }
             LayerKind::Fc { .. } => {
-                let in_features: usize = in_shapes.iter().map(Shape4::per_image).sum();
+                let in_features: usize = in_shapes.map(|s| s.per_image()).sum();
                 self.out_shape.len() as u64 * in_features as u64
             }
             LayerKind::DepthwiseConv(spec) => {
@@ -261,7 +263,7 @@ impl Layer {
             LayerKind::Pool(spec) => {
                 self.out_shape.len() as u64 * (spec.kernel * spec.kernel) as u64
             }
-            LayerKind::GlobalAvgPool => in_shapes.iter().map(|s| s.len() as u64).sum(),
+            LayerKind::GlobalAvgPool => in_shapes.map(|s| s.len() as u64).sum(),
             LayerKind::EltwiseAdd { .. } | LayerKind::ConcatChannels => self.out_shape.len() as u64,
         }
     }
@@ -285,8 +287,8 @@ mod tests {
     fn conv_weight_and_mac_counts() {
         let l = conv_layer();
         let ins = [Shape4::new(1, 32, 56, 56)];
-        assert_eq!(l.weight_elems(&ins), 64 * 32 * 9);
-        assert_eq!(l.macs(&ins), (64 * 56 * 56) as u64 * (32 * 9) as u64);
+        assert_eq!(l.weight_elems(ins), 64 * 32 * 9);
+        assert_eq!(l.macs(ins), (64 * 56 * 56) as u64 * (32 * 9) as u64);
     }
 
     #[test]
@@ -299,8 +301,8 @@ mod tests {
             out_shape: Shape4::new(1, 10, 1, 1),
         };
         let ins = [Shape4::new(1, 512, 2, 2)];
-        assert_eq!(l.weight_elems(&ins), 10 * 512 * 4);
-        assert_eq!(l.macs(&ins), 10 * 512 * 4);
+        assert_eq!(l.weight_elems(ins), 10 * 512 * 4);
+        assert_eq!(l.macs(ins), 10 * 512 * 4);
     }
 
     #[test]
@@ -313,8 +315,8 @@ mod tests {
             out_shape: Shape4::new(1, 64, 56, 56),
         };
         let ins = [Shape4::new(1, 64, 56, 56); 2];
-        assert_eq!(l.weight_elems(&ins), 0);
-        assert_eq!(l.macs(&ins), (64 * 56 * 56) as u64);
+        assert_eq!(l.weight_elems(ins), 0);
+        assert_eq!(l.macs(ins), (64 * 56 * 56) as u64);
         assert!(l.kind.is_junction());
         assert!(!conv_layer().kind.is_junction());
     }

@@ -123,13 +123,14 @@ impl Network {
         self.consumers[id.index()].last().copied()
     }
 
-    /// Resolved input shapes of a layer, in operand order.
-    pub fn in_shapes(&self, id: LayerId) -> Vec<Shape4> {
+    /// Resolved input shapes of a layer, in operand order. Nothing is
+    /// allocated: the shapes are read from the producers as the iterator
+    /// advances.
+    pub fn in_shapes(&self, id: LayerId) -> impl ExactSizeIterator<Item = Shape4> + '_ {
         self.layer(id)
             .inputs
             .iter()
             .map(|&p| self.layer(p).out_shape)
-            .collect()
     }
 
     /// All feature-map edges of the DAG, ordered by consumer then operand.
@@ -165,7 +166,7 @@ impl Network {
     pub fn total_weight_elems(&self) -> usize {
         self.layers
             .iter()
-            .map(|l| l.weight_elems(&self.in_shapes(l.id)))
+            .map(|l| l.weight_elems(self.in_shapes(l.id)))
             .sum()
     }
 
@@ -174,7 +175,7 @@ impl Network {
     pub fn total_macs(&self) -> u64 {
         self.layers
             .iter()
-            .map(|l| l.macs(&self.in_shapes(l.id)))
+            .map(|l| l.macs(self.in_shapes(l.id)))
             .sum()
     }
 
@@ -591,6 +592,6 @@ mod tests {
         assert!(net.total_macs() > 0);
         // Conv c1: 8 out channels, 3 in, 3x3 kernel.
         let c1 = net.layer_by_name("c1").unwrap();
-        assert_eq!(c1.weight_elems(&net.in_shapes(c1.id)), 8 * 3 * 9);
+        assert_eq!(c1.weight_elems(net.in_shapes(c1.id)), 8 * 3 * 9);
     }
 }

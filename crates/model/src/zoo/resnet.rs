@@ -306,7 +306,10 @@ mod tests {
         assert_eq!(adds, 3 + 8 + 36 + 3);
         // Final stage output is 7x7x2048.
         let gap = net.layer_by_name("gap").unwrap();
-        assert_eq!(net.in_shapes(gap.id)[0], Shape4::new(1, 2048, 7, 7));
+        assert_eq!(
+            net.layer(gap.inputs[0]).out_shape,
+            Shape4::new(1, 2048, 7, 7)
+        );
     }
 
     #[test]

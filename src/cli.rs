@@ -675,7 +675,8 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             let cfg = AccelConfig::default();
             let bounds = analysis::ReuseBounds::of(&net, cfg, Policy::shortcut_mining())
                 .map_err(|e| CliError(format!("analysis failed: {e}")))?;
-            let cap95 = analysis::capacity_for_fraction(&net, cfg, Policy::shortcut_mining(), 0.95)
+            let cap95 = bounds
+                .capacity_for_fraction(&net, cfg, Policy::shortcut_mining(), 0.95)
                 .map_err(|e| CliError(format!("analysis failed: {e}")))?;
             let _ = writeln!(out, "{} batch {batch}", net.name());
             let _ = writeln!(

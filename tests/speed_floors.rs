@@ -92,18 +92,34 @@ fn warm_result_cache_grid_is_at_least_4x_the_cold_run() {
             })
             .collect::<Vec<_>>()
     };
-    let dir = std::env::temp_dir().join(format!("sm-speed-floor-cas-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = ResultCache::open(&dir).expect("temp result-cache dir");
-    let cold_session = store.session();
-    let t0 = Instant::now();
-    let cold = run_grids(&cold_session);
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-    // Cold is single-shot by nature; warm is a median of replays.
-    let warm_session = store.session();
+    // Both sides are medians of three runs: each cold run fills its own
+    // fresh store (opened before the clock starts), and the warm runs
+    // replay the last one.
+    let dirs: Vec<_> = (0..3)
+        .map(|i| {
+            let dir = format!("sm-speed-floor-cas-{}-{i}", std::process::id());
+            std::env::temp_dir().join(dir)
+        })
+        .collect();
+    let stores: Vec<_> = dirs
+        .iter()
+        .map(|dir| {
+            let _ = std::fs::remove_dir_all(dir);
+            ResultCache::open(dir).expect("temp result-cache dir")
+        })
+        .collect();
+    let cold_sessions: Vec<_> = stores.iter().map(ResultCache::session).collect();
+    let mut fresh = cold_sessions.iter();
+    let mut cold = Vec::new();
+    let cold_ms = median_ms(3, || {
+        cold = run_grids(fresh.next().expect("one fresh store per cold run"));
+    });
+    let warm_session = stores[2].session();
     let mut warm = Vec::new();
     let warm_ms = median_ms(3, || warm = run_grids(&warm_session));
-    let _ = std::fs::remove_dir_all(&dir);
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     assert_eq!(warm, cold, "the warm grids diverged from the cold run");
     assert_eq!(warm_session.stats().misses, 0, "the warm runs missed");
     let speedup = cold_ms / warm_ms;
