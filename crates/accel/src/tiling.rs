@@ -108,7 +108,9 @@ impl ConvDims {
     /// the real input extent. When the kernel covers the stride the touched
     /// set is one contiguous span; a kernel smaller than its stride skips
     /// rows, leaving disjoint pieces (the DMA fetches them with a strided
-    /// 2-D descriptor, so skipped rows are never transferred).
+    /// 2-D descriptor, so skipped rows are never transferred). A window
+    /// that starts past the input (an output extent too large for the
+    /// stride) touches no rows.
     fn in_span(&self, o0: usize, o1: usize, in_extent: usize) -> u64 {
         debug_assert!(o0 < o1);
         let clip = |a0: usize, a1: usize| -> u64 {
@@ -116,7 +118,7 @@ impl ConvDims {
             let hi = ((a1 - 1) * self.stride + self.kernel) as isize - self.pad as isize;
             let lo = lo.max(0) as usize;
             let hi = (hi.max(0) as usize).min(in_extent);
-            (hi - lo) as u64
+            hi.saturating_sub(lo) as u64
         };
         if self.kernel >= self.stride {
             clip(o0, o1)
@@ -603,6 +605,35 @@ mod tests {
         let in_cols = ((plan.tc - 1) + 3) as u64;
         assert!(plan.tn as u64 * in_rows * in_cols * 2 <= caps.ifm_bytes);
         assert!((plan.tm * plan.tr * plan.tc) as u64 * 2 <= caps.ofm_bytes);
+    }
+
+    #[test]
+    fn windows_past_the_input_touch_nothing() {
+        // At stride 2-4 a 56x56 output is too large for a 56x56 input: the
+        // last output rows' windows start past the input and touch no
+        // rows, so no tile fetches more than the whole input.
+        let tight = TileCaps {
+            ifm_bytes: 16 << 10,
+            ofm_bytes: 16 << 10,
+            weight_tile_bytes: 16 << 10,
+            weight_total_bytes: 32 << 10,
+        };
+        for stride in 2..=4 {
+            let d = ConvDims {
+                stride,
+                ..dims_56x56()
+            };
+            for caps in [big_caps(), tight] {
+                let plan = plan_conv(d, caps, 64, 64, 2);
+                for (tr, tc) in [(plan.tr, plan.tc), (1, 1), (7, 5), (56, 56)] {
+                    let rows = d.out_h.div_ceil(tr) * d.in_h;
+                    let cols = d.out_w.div_ceil(tc) * d.in_w;
+                    let bound = (rows * cols * d.in_c) as u64;
+                    let elems = d.halo_expanded_ifm_elems(tr, tc);
+                    assert!(elems <= bound, "stride {stride}, {tr}x{tc}: {elems}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Usage: `all_experiments [--csv <dir>] [--threads <n>]`
 //!
-//! Tables are computed concurrently on the worker pool (`--threads`, or
-//! `SM_THREADS`, default all cores) but always printed in figure order —
-//! output is byte-identical at any thread count.
+//! Tables are computed concurrently on the worker pool (`--threads`,
+//! default all cores) but always printed in figure order — output is
+//! byte-identical at any thread count.
 
 use sm_accel::AccelConfig;
 use sm_bench::experiments::*;

@@ -950,9 +950,9 @@ pub struct RunCtx<'a> {
 
 /// Runs one sweep's cells under `ctx`: cached cells are read back, and
 /// **only the missing cells** are dispatched to
-/// [`sm_core::parallel::par_map_stream`] (largest-cost-first over the
-/// configured worker pool). Results come back in sweep order,
-/// byte-identical to an uncached sweep at any thread count.
+/// [`sm_core::parallel::par_map_stream`] over the configured worker pool.
+/// Results come back in sweep order, byte-identical to an uncached sweep at
+/// any thread count.
 ///
 /// * `keys[i]` must be the [`cell_key`] of `items[i]`.
 /// * `on_cell(i, cached, &result)` fires once per cell in strictly
@@ -971,18 +971,16 @@ pub struct RunCtx<'a> {
 ///
 /// Returns [`Cancelled`] when the cancel check fired before the sweep
 /// completed.
-pub fn run_cells<T, U, C, F, G>(
+pub fn run_cells<T, U, F, G>(
     ctx: &RunCtx<'_>,
     items: &[T],
     keys: &[CacheKey],
-    cost: C,
     run: F,
     mut on_cell: G,
 ) -> Result<Vec<U>, Cancelled>
 where
     T: Sync,
     U: Serialize + Deserialize + Send,
-    C: Fn(&T) -> u64,
     F: Fn(&T) -> U + Sync,
     G: FnMut(usize, bool, &U),
 {
@@ -1008,7 +1006,6 @@ where
     let computed = par_map_stream(
         &missing_items,
         threads(),
-        |item| cost(item),
         |item| run(item),
         |j, u| {
             let gi = missing[j];
@@ -1391,7 +1388,6 @@ mod tests {
             &cached(&cold_session),
             &items,
             &keys,
-            |_| 1,
             run,
             |i, cached, _| order.push((i, cached)),
         )
@@ -1418,7 +1414,6 @@ mod tests {
             &cached(&warm_session),
             &items2,
             &keys2,
-            |_| 1,
             run,
             |i, cached, _| order2.push((i, cached)),
         )
@@ -1435,15 +1430,7 @@ mod tests {
 
         // Fully warm: zero dispatches, still in order.
         let full_session = store.session();
-        let full = run_cells(
-            &cached(&full_session),
-            &items,
-            &keys,
-            |_| 1,
-            run,
-            |_, _, _| {},
-        )
-        .unwrap();
+        let full = run_cells(&cached(&full_session), &items, &keys, run, |_, _, _| {}).unwrap();
         assert_eq!(full, cold);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1460,7 +1447,6 @@ mod tests {
             &RunCtx::default(),
             &items,
             &keys,
-            |_| 1,
             |&x| cell(x),
             |_, cached, _| {
                 assert!(!cached);
@@ -1484,7 +1470,6 @@ mod tests {
             &cached(&warm_session),
             &items,
             &keys,
-            |_| 1,
             |&x| cell(x),
             |_, _, _| {},
         )
@@ -1497,14 +1482,7 @@ mod tests {
             cache: Some(&session),
             cancel: Some(&check),
         };
-        let out = run_cells(
-            &ctx,
-            &items,
-            &keys,
-            |_| 1,
-            |&x| cell(x),
-            |_, _, _| emitted += 1,
-        );
+        let out = run_cells(&ctx, &items, &keys, |&x| cell(x), |_, _, _| emitted += 1);
         assert_eq!(out, Err(Cancelled));
         assert_eq!(emitted, 0, "a dead request emits nothing, even warm");
         let _ = fs::remove_dir_all(&dir);
@@ -1523,7 +1501,7 @@ mod tests {
                 cache: Some(&session),
                 cancel,
             };
-            run_cells(&ctx, &items, &keys, |_| 1, |&x| cell(x), |_, _, _| {}).unwrap()
+            run_cells(&ctx, &items, &keys, |&x| cell(x), |_, _, _| {}).unwrap()
         };
         let unchecked = run(None);
         let checked = run(Some(&never));

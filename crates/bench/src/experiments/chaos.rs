@@ -80,9 +80,7 @@ pub(crate) fn chaos_keys(
 /// checked run per plan, each outcome folded into the sweep's cell type
 /// (`Err` carries the error's display form) and streamed to `sink` in
 /// index order. Cells are keyed under `kind` and run through
-/// [`run_cells`], so `ctx` decides caching and cancellation; every cell
-/// replays the same network, so the MAC count is the per-cell cost
-/// estimate.
+/// [`run_cells`], so `ctx` decides caching and cancellation.
 #[allow(clippy::too_many_arguments)]
 fn run_plans<P: Sync, U>(
     kind: &str,
@@ -106,7 +104,6 @@ where
         ctx,
         &cells,
         &keys,
-        |_| net.total_macs(),
         |&i| {
             let options = SimOptions::with_faults(plans[i].clone());
             match exp.run_checked(net, Policy::shortcut_mining(), &options) {

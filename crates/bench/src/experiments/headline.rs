@@ -1,16 +1,15 @@
 //! The headline comparisons: Fig. 10 (feature-map traffic reduction),
 //! Fig. 11 (traffic breakdown by category) and Fig. 13 (throughput).
 //!
-//! Per-network simulations are independent, so each figure fans out over
-//! [`sm_core::parallel`]; tables are assembled serially from the
-//! order-preserving results. The fan-outs are cost-aware: network MAC
-//! counts differ by ~50× between SqueezeNet and ResNet-152, so dispatching
-//! largest-first keeps a big network from serializing the tail of a sweep.
+//! Each figure simulates its networks in a plain loop; `all_tables` runs
+//! the figures themselves concurrently. [`compare_cells`] is the cached,
+//! cancellable form behind the service's `compare` and `capacity-sweep`
+//! kinds, dispatched through [`run_cells`].
 
 use serde::{Deserialize, Serialize};
 
 use sm_accel::AccelConfig;
-use sm_core::parallel::{par_map_weighted, threads, Cancelled};
+use sm_core::parallel::Cancelled;
 use sm_core::{Experiment, Policy};
 use sm_mem::TrafficClass;
 use sm_model::{zoo, Network};
@@ -88,7 +87,7 @@ pub(crate) fn compare_cell_keys(
 }
 
 /// Runs the baseline-vs-mined comparison and captures the primitives.
-pub(crate) fn run_compare_cell(exp: &Experiment, net: &Network) -> ComparisonCell {
+fn run_compare_cell(exp: &Experiment, net: &Network) -> ComparisonCell {
     let cmp = exp.compare(net);
     ComparisonCell {
         network: net.name().to_string(),
@@ -122,19 +121,16 @@ pub fn compare_cells(
         ctx,
         configs,
         &keys,
-        |_| net.net().total_macs(),
         |&config| run_compare_cell(&Experiment::new(config), net.net()),
         |i, cached, cell| sink.cell(i, cached, cell),
     )
 }
 
 /// Uncached comparison cells of `nets` under one config for the figures,
-/// fanned out largest-first by MAC count; order preserved.
+/// in order.
 pub(crate) fn compare_networks(config: AccelConfig, nets: &[Network]) -> Vec<ComparisonCell> {
     let exp = Experiment::new(config);
-    par_map_weighted(nets, threads(), Network::total_macs, |n| {
-        run_compare_cell(&exp, n)
-    })
+    nets.iter().map(|n| run_compare_cell(&exp, n)).collect()
 }
 
 /// Fig. 10 data: feature-map traffic, baseline vs Shortcut Mining.
@@ -212,35 +208,19 @@ pub fn fig11_traffic_breakdown(config: AccelConfig, batch: usize) -> BreakdownRe
             "weight_read",
         ],
     );
-    let nets = zoo::evaluated_networks(batch);
-    let points: Vec<(usize, Policy)> = (0..nets.len())
-        .flat_map(|i| {
-            [Policy::baseline(), Policy::shortcut_mining()]
-                .into_iter()
-                .map(move |p| (i, p))
-        })
-        .collect();
-    let runs = par_map_weighted(
-        &points,
-        threads(),
-        |(i, _)| nets[*i].total_macs(),
-        |(i, policy)| {
-            let stats = exp.run(&nets[*i], *policy);
-            let classes: Vec<(TrafficClass, u64)> = TrafficClass::ALL
-                .into_iter()
-                .map(|class| (class, stats.ledger.class_bytes(class)))
-                .collect();
-            (nets[*i].name().to_string(), stats.architecture, classes)
-        },
-    );
     let mut rows = Vec::new();
-    for (name, architecture, classes) in runs {
-        let mut cells = vec![name.clone(), architecture.clone()];
-        for (class, bytes) in classes {
-            cells.push(mb(bytes));
-            rows.push((name.clone(), architecture.clone(), class, bytes));
+    for net in zoo::evaluated_networks(batch) {
+        let name = net.name().to_string();
+        for policy in [Policy::baseline(), Policy::shortcut_mining()] {
+            let stats = exp.run(&net, policy);
+            let mut cells = vec![name.clone(), stats.architecture.clone()];
+            for class in TrafficClass::ALL {
+                let bytes = stats.ledger.class_bytes(class);
+                cells.push(mb(bytes));
+                rows.push((name.clone(), stats.architecture.clone(), class, bytes));
+            }
+            table.row(&cells);
         }
-        table.row(&cells);
     }
     BreakdownResult { rows, table }
 }

@@ -65,8 +65,9 @@ pub use sensitivity::{
 
 /// Every table of the full evaluation at batch 1, in figure order.
 ///
-/// The twelve builders are independent, so they run concurrently on the
-/// worker pool ([`sm_core::parallel`]); the returned order (and therefore
+/// The twelve builders are independent, so they run concurrently, one job
+/// per table, on the worker pool ([`sm_core::parallel::par_map_stream`]);
+/// each builder itself is a serial loop. The returned order (and therefore
 /// any rendering of it) is the same at every thread count, which
 /// `tests/parallel_determinism.rs` checks. This is the workload behind the
 /// `all_experiments` binary (the one entry point for the paper's figures)
@@ -87,7 +88,9 @@ pub fn all_tables(cfg: sm_accel::AccelConfig) -> Vec<crate::report::Table> {
         Box::new(move || table3_ablation(cfg, 1).table),
         Box::new(move || fig17_intermediate_layers(cfg, 1).table),
     ];
-    sm_core::parallel::par_map(&jobs, sm_core::parallel::threads(), |job| job())
+    let threads = sm_core::parallel::threads();
+    sm_core::parallel::par_map_stream(&jobs, threads, |job| job(), |_, _| {}, None)
+        .expect("a dispatch without a cancel check is never cancelled")
 }
 
 #[cfg(test)]

@@ -1,18 +1,13 @@
 //! Sensitivity studies: Fig. 14 (on-chip capacity sweep) and Fig. 15
 //! (batch-size sweep).
 //!
-//! Both sweeps fan their (x-value, network) grid out over
-//! [`sm_core::parallel`]; the result tables are assembled serially from the
-//! order-preserving map, so output is identical at any thread count. The
-//! grids are strongly skewed — ResNet-152 at batch 8 costs ~400× what
-//! SqueezeNet at batch 1 does — so dispatch is cost-aware by MAC count.
+//! Both sweeps walk their (x-value, network) grid in a plain loop, x-value
+//! major; `all_tables` runs the figures themselves concurrently.
 
 use sm_accel::AccelConfig;
-use sm_core::parallel::{par_map_weighted, threads};
-use sm_core::Experiment;
 use sm_model::zoo;
 
-use super::headline::{compare_networks, run_compare_cell};
+use super::headline::compare_networks;
 use crate::report::{pct, Table};
 
 /// The Fig. 14 capacity axis (KiB), also the default axis of the
@@ -36,23 +31,12 @@ pub fn fig14_capacity_sweep(base: AccelConfig, batch: usize) -> SweepResult {
         "Fig 14 - traffic reduction vs on-chip feature-map capacity",
         &["capacity (KiB)", "network", "reduction", "speedup"],
     );
-    let configs = DEFAULT_CAPACITIES_KIB.map(|kib| base.with_fm_capacity(kib * 1024));
-    // Capacity-major points.
-    let points: Vec<(usize, usize)> = (0..DEFAULT_CAPACITIES_KIB.len())
-        .flat_map(|c| (0..nets.len()).map(move |i| (c, i)))
-        .collect();
-    let cells = par_map_weighted(
-        &points,
-        threads(),
-        |&(_, i)| nets[i].total_macs(),
-        |&(c, i)| run_compare_cell(&Experiment::new(configs[c]), &nets[i]),
-    );
-    let rows: Vec<(u64, String, f64, f64)> = points
-        .iter()
-        .zip(cells)
-        .map(|(&(c, _), cell)| {
-            let kib = DEFAULT_CAPACITIES_KIB[c];
-            (kib, cell.network, cell.traffic_reduction, cell.speedup)
+    let rows: Vec<(u64, String, f64, f64)> = DEFAULT_CAPACITIES_KIB
+        .into_iter()
+        .flat_map(|kib| {
+            compare_networks(base.with_fm_capacity(kib * 1024), &nets)
+                .into_iter()
+                .map(move |cell| (kib, cell.network, cell.traffic_reduction, cell.speedup))
         })
         .collect();
     for (kib, name, red, sp) in &rows {

@@ -1,9 +1,9 @@
 //! Resident sweep service behind `smctl serve`.
 //!
 //! A long-running process reads newline-delimited JSON sweep requests from
-//! its input, schedules the missing cells largest-cost-first over the
-//! existing worker pool ([`sm_core::parallel`]), and streams JSON events
-//! back as cells complete. All requests share one content-addressed
+//! its input, runs the missing cells on the existing worker pool
+//! ([`sm_core::parallel`]), and streams JSON events back as cells
+//! complete. All requests share one content-addressed
 //! [`ResultCache`], so a second request overlapping a first is answered
 //! almost entirely from cache (delta simulation); each request gets its own
 //! [`CacheSession`](crate::cas::CacheSession) so concurrent clients see
@@ -76,9 +76,10 @@
 //! `write-failed`) and the service keeps reading. A line that is not
 //! UTF-8 or is longer than [`MAX_LINE_BYTES`] is a `bad-request` with an
 //! empty id; an over-long line is skipped without being stored. A request
-//! whose sweep would run more than [`MAX_CELLS_PER_REQUEST`] cells is a
-//! `bad-request` too, answered before `accepted`. EOF on the input ends
-//! the service.
+//! whose sweep would run more than [`MAX_CELLS_PER_REQUEST`] cells, or
+//! whose `dram_rate`, `fractions`, `rates` or `site_rates` holds a value
+//! outside [0, 1], is a `bad-request` too, answered before `accepted`.
+//! EOF on the input ends the service.
 //!
 //! # Client failures and store health
 //!
@@ -295,6 +296,21 @@ fn parse_request(line: &str) -> Result<Request, (String, String)> {
         graph: value.field_opt("graph").map_err(|e| fail(e.to_string()))?,
         id,
     };
+    let axes = &req.axes;
+    let probabilities = [
+        ("dram_rate", std::slice::from_ref(&axes.dram_rate)),
+        ("fractions", axes.fractions.as_deref().unwrap_or_default()),
+        ("rates", axes.rates.as_deref().unwrap_or_default()),
+        ("site_rates", axes.site_rates.as_deref().unwrap_or_default()),
+    ];
+    for (field, values) in probabilities {
+        if let Some(v) = values.iter().find(|v| !(0.0..=1.0).contains(*v)) {
+            return Err((
+                req.id,
+                format!("{field} value {v} is not a probability in [0, 1]"),
+            ));
+        }
+    }
     // An unknown kind is left for `handle_request`, which reports the
     // network first.
     match SweepKind::parse(&req.kind).map(|kind| kind.cells(&req.axes)) {
@@ -872,6 +888,41 @@ mod tests {
             .any(|l| l.contains(r#""id":"ok","event":"done""#)));
         // The cap itself is admitted.
         assert!(parse_request(&grid_request("cap", MAX_CELLS_PER_REQUEST, 1)).is_ok());
+    }
+
+    #[test]
+    fn a_rate_outside_zero_to_one_is_a_bad_request_and_the_next_line_is_served() {
+        // The simulator would clamp such a rate while the result echoes
+        // the value given.
+        let store = tmp_store("rate-range");
+        let ok = r#"{"id":"ok","kind":"compare","network":"toy_residual"}"#;
+        let bad = [
+            r#"{"id":"d","kind":"chaos-curve","network":"toy_residual","dram_rate":7}"#,
+            r#"{"id":"f","kind":"chaos-grid","network":"toy_residual","fractions":[0.1,-0.5]}"#,
+            r#"{"id":"r","kind":"control-path","network":"toy_residual","rates":[1.5]}"#,
+            r#"{"id":"s","kind":"chaos-grid3","network":"toy_residual","site_rates":[0.3,2]}"#,
+        ];
+        for (line, field) in bad
+            .iter()
+            .zip(["dram_rate", "fractions", "rates", "site_rates"])
+        {
+            let lines = serve(&store, &format!("{line}\n{ok}\n"));
+            assert!(
+                lines[0].contains(r#""event":"error","reason":"bad-request""#),
+                "{lines:?}"
+            );
+            assert!(lines[0].contains(field), "{}", lines[0]);
+            assert!(
+                lines[1].contains(r#""id":"ok","event":"accepted""#),
+                "{lines:?}"
+            );
+            assert!(lines
+                .iter()
+                .any(|l| l.contains(r#""id":"ok","event":"done""#)));
+        }
+        // The bounds themselves are probabilities.
+        let edge = r#"{"id":"e","kind":"chaos-grid","network":"toy_residual","fractions":[0,1],"rates":[1]}"#;
+        assert!(parse_request(edge).is_ok());
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Property tests for the deterministic fan-out primitives: whatever the
-//! thread count and however adversarial the cost estimates, the weighted
-//! (largest-cost-first) dispatcher, the FIFO dispatcher and a serial map
-//! must all return byte-identical results in input order.
+//! Property test for the deterministic fan-out primitive: whatever the
+//! thread count, the dispatcher must return byte-identical results to a
+//! serial map and stream them in input order.
 
 use proptest::prelude::*;
 
-use sm_core::parallel::{par_map, par_map_weighted};
+use sm_core::parallel::par_map_stream;
 
 /// The mapped value carries the input and a derived payload so any
 /// reordering or cross-worker mixup shows up as a byte-level mismatch.
@@ -21,50 +20,25 @@ fn cell(x: &u64) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Weighted dispatch ≡ FIFO dispatch ≡ serial map at 1, 3 and 8
-    /// threads, under adversarial costs: zeros, ties and ~10^9× skew are
-    /// all generated, none may perturb output order or content.
+    /// Dispatch ≡ serial map at 1, 3 and 8 threads, and every result is
+    /// streamed exactly once, in input order, carrying its own value.
     #[test]
-    fn weighted_fifo_and_serial_maps_are_byte_identical(
+    fn dispatch_matches_a_serial_map_in_stream_order(
         items in prop::collection::vec(0u64..1000, 0..40),
-        costs in prop::collection::vec(
-            prop_oneof![Just(0u64), Just(1), Just(u64::MAX / 4), 0u64..100],
-            0..40
-        ),
     ) {
         let serial: Vec<Vec<u8>> = items.iter().map(cell).collect();
         for threads in [1usize, 3, 8] {
-            let fifo = par_map(&items, threads, cell);
-            prop_assert_eq!(&serial, &fifo, "par_map diverged at {} threads", threads);
-            // Cost is looked up by item value, so duplicated items share a
-            // cost and an empty cost table falls back to a constant.
-            let weighted = par_map_weighted(
+            let mut streamed = Vec::new();
+            let out = par_map_stream(
                 &items,
                 threads,
-                |x| {
-                    let table = costs.len().max(1);
-                    costs.get(*x as usize % table).copied().unwrap_or(7)
-                },
                 cell,
+                |i, u| streamed.push((i, u.clone())),
+                None,
             );
-            prop_assert_eq!(
-                &serial,
-                &weighted,
-                "par_map_weighted diverged at {} threads",
-                threads
-            );
+            prop_assert_eq!(out.as_ref(), Ok(&serial), "diverged at {} threads", threads);
+            let expect: Vec<(usize, Vec<u8>)> = serial.iter().cloned().enumerate().collect();
+            prop_assert_eq!(&streamed, &expect, "stream order at {} threads", threads);
         }
-    }
-
-    /// Equal costs degrade gracefully: LPT with uniform weights is still a
-    /// valid schedule and still order-preserving.
-    #[test]
-    fn uniform_costs_preserve_order(
-        items in prop::collection::vec(0u64..1000, 1..60),
-        threads in 1usize..9,
-    ) {
-        let serial: Vec<Vec<u8>> = items.iter().map(cell).collect();
-        let weighted = par_map_weighted(&items, threads, |_| 42, cell);
-        prop_assert_eq!(serial, weighted);
     }
 }

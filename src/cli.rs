@@ -124,9 +124,10 @@ pub enum Command {
     /// Resident sweep service: newline-delimited JSON requests on stdin,
     /// streamed JSON events on stdout, one shared result cache.
     Serve {
-        /// Result-cache directory shared by every request (default: a
-        /// `smctl-cache` directory under the system temp dir).
-        cache_dir: Option<String>,
+        /// Result-cache directory shared by every request (`--cache-dir`,
+        /// required: a store serves cells by input key alone, so no default
+        /// directory is shared between builds).
+        cache_dir: String,
         /// Maximum concurrently executing requests (`--max-inflight`;
         /// default: the worker-thread count).
         max_inflight: Option<usize>,
@@ -186,15 +187,15 @@ USAGE:
                 (emit the network as a graph JSON document; such documents —
                 including hand-written DAGs the zoo cannot express — feed
                 back in through --net-file)
-  smctl serve   [--cache-dir <path>] [--max-inflight <n>]
+  smctl serve   --cache-dir <path> [--max-inflight <n>]
                 [--default-deadline-ms <ms>] [--cache-max-bytes <n>]
                 [--io-fault-rate <p>] [--io-fault-seed <n>] [--deterministic]
                 (newline-delimited JSON sweep requests on stdin, streamed
                 JSON events on stdout; see sm_bench::service docs)
 
 Every command also accepts --threads <n> (worker count for parallel
-sweeps; SM_THREADS environment variable is the fallback, default = all
-cores). Output is byte-identical at any thread count.
+sweeps, default = all cores). Output is byte-identical at any thread
+count.
 
 POLICIES:
   baseline | reuse-disabled | swap-only | mining-only | shortcut-mining
@@ -290,6 +291,20 @@ fn take_value<'a>(
         .ok_or_else(|| CliError(format!("{flag} requires a value")))
 }
 
+/// Parses a probability flag value: a number in [0, 1] (so not NaN nor
+/// infinite). `what` names the quantity in the error message.
+fn parse_probability(v: &str, what: &str) -> Result<f64, CliError> {
+    v.trim()
+        .parse::<f64>()
+        .ok()
+        .filter(|p| (0.0..=1.0).contains(p))
+        .ok_or_else(|| {
+            CliError(format!(
+                "invalid {what} {v:?} (probability in [0, 1] expected)"
+            ))
+        })
+}
+
 fn parse_batch(v: &str) -> Result<usize, CliError> {
     v.parse()
         .ok()
@@ -350,16 +365,7 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
                     }
                     "--io-fault-rate" => {
                         let v = take_value(&mut it, flag)?;
-                        io_fault_rate = Some(
-                            v.parse::<f64>()
-                                .ok()
-                                .filter(|r| r.is_finite() && (0.0..=1.0).contains(r))
-                                .ok_or_else(|| {
-                                    CliError(format!(
-                                        "invalid fault rate {v:?} (probability in [0, 1] expected)"
-                                    ))
-                                })?,
-                        );
+                        io_fault_rate = Some(parse_probability(v, "fault rate")?);
                     }
                     "--io-fault-seed" => {
                         let v = take_value(&mut it, flag)?;
@@ -370,6 +376,8 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
                     other => return Err(unknown_flag(cmd, other)),
                 }
             }
+            let cache_dir =
+                cache_dir.ok_or_else(|| CliError("serve requires --cache-dir <path>".into()))?;
             Ok(Command::Serve {
                 cache_dir,
                 max_inflight,
@@ -455,18 +463,7 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
                         let v = take_value(&mut it, flag)?;
                         let rates = v
                             .split(',')
-                            .map(|s| {
-                                s.trim()
-                                    .parse::<f64>()
-                                    .ok()
-                                    .filter(|r| r.is_finite() && (0.0..=1.0).contains(r))
-                                    .ok_or_else(|| {
-                                        CliError(format!(
-                                            "invalid site rate {s:?} (probability in [0, 1] \
-                                             expected)"
-                                        ))
-                                    })
-                            })
+                            .map(|s| parse_probability(s, "site rate"))
                             .collect::<Result<Vec<f64>, CliError>>()?;
                         site_rates = Some(rates);
                     }
@@ -498,10 +495,7 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Cli
                             .map_err(|_| CliError(format!("invalid seed {v:?}")))?;
                     }
                     "--dram-rate" => {
-                        let v = take_value(&mut it, flag)?;
-                        dram_rate = v.parse().map_err(|_| {
-                            CliError(format!("invalid dram rate {v:?} (probability expected)"))
-                        })?;
+                        dram_rate = parse_probability(take_value(&mut it, flag)?, "dram rate")?;
                         dram_rate_given = true;
                     }
                     other => return Err(unknown_flag(cmd, other)),
@@ -976,16 +970,13 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             io_fault_seed,
             deterministic,
         } => {
-            let dir = cache_dir
-                .clone()
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|| std::env::temp_dir().join("smctl-cache"));
+            let dir = std::path::Path::new(cache_dir);
             let store_options = sm_bench::cas::StoreOptions {
                 max_bytes: *cache_max_bytes,
                 faults: io_fault_rate
                     .map(|rate| sm_bench::iofault::IoFaultPlan::uniform(*io_fault_seed, rate)),
             };
-            let store = sm_bench::cas::ResultCache::open_with(&dir, store_options)
+            let store = sm_bench::cas::ResultCache::open_with(dir, store_options)
                 .map_err(|e| CliError(format!("cannot open cache at {}: {e}", dir.display())))?;
             let serve_options = sm_bench::service::ServeOptions {
                 max_inflight: max_inflight.unwrap_or(0), // 0 = worker-thread count
@@ -1100,9 +1091,12 @@ mod tests {
                 .split("\n  smctl ")
                 .find(|e| e.split_whitespace().next() == Some(cmd))
                 .unwrap_or_else(|| panic!("no USAGE entry for {cmd}"));
-            let mut listed: Vec<&str> = entry
-                .split('[')
-                .filter_map(|s| s.split([' ', ']']).next())
+            // Optional flags open a `[...]` group; a required one stands
+            // before the first group (`serve --cache-dir <path>`).
+            let (head, groups) = entry.split_once('[').unwrap_or((entry, ""));
+            let mut listed: Vec<&str> = head
+                .split_whitespace()
+                .chain(groups.split('[').filter_map(|s| s.split([' ', ']']).next()))
                 .filter(|f| f.starts_with("--"))
                 .collect();
             let mut table: Vec<&str> = flags.split_whitespace().collect();
@@ -1474,11 +1468,33 @@ mod tests {
     }
 
     #[test]
+    fn probability_flags_reject_values_outside_zero_to_one() {
+        // The simulator would clamp such a rate (or ignore NaN) while the
+        // report echoes the value given.
+        for v in ["NaN", "inf", "-3", "1.5"] {
+            for cmd in ["chaos", "report"] {
+                let err = parse([cmd, "toy_residual", "--dram-rate", v]).unwrap_err();
+                assert!(err.0.contains("probability in [0, 1]"), "{cmd} {v}: {err}");
+            }
+            let site = parse(["chaos", "toy_residual", "--grid", "--site-rate", v]);
+            assert!(site.is_err(), "--site-rate {v}");
+            let io = parse(["serve", "--cache-dir", "c", "--io-fault-rate", v]);
+            assert!(io.is_err(), "--io-fault-rate {v}");
+        }
+        for v in ["0", "1"] {
+            assert!(parse(["chaos", "toy_residual", "--dram-rate", v]).is_ok());
+            assert!(parse(["report", "toy_residual", "--dram-rate", v]).is_ok());
+        }
+    }
+
+    #[test]
     fn serve_and_warm_floor_flags_parse() {
+        let err = parse(["serve"]).unwrap_err();
+        assert!(err.0.contains("--cache-dir"), "{err}");
         assert_eq!(
-            parse(["serve"]).unwrap(),
+            parse(["serve", "--cache-dir", "/tmp/c"]).unwrap(),
             Command::Serve {
-                cache_dir: None,
+                cache_dir: "/tmp/c".into(),
                 max_inflight: None,
                 default_deadline_ms: None,
                 cache_max_bytes: None,
@@ -1506,7 +1522,7 @@ mod tests {
             ])
             .unwrap(),
             Command::Serve {
-                cache_dir: Some("/tmp/c".into()),
+                cache_dir: "/tmp/c".into(),
                 max_inflight: Some(4),
                 default_deadline_ms: Some(500),
                 cache_max_bytes: Some(65536),

@@ -1,10 +1,10 @@
 //! Parallel sweeps must be byte-identical to serial ones.
 //!
-//! `sm_core::parallel::par_map` preserves input order, so the rendered
-//! tables and serialized JSON of every parallelized experiment are required
-//! to match exactly between `--threads 1` and `--threads N`. A single test
-//! function owns the whole comparison because the thread count is a
-//! process-global setting.
+//! `sm_core::parallel::par_map_stream` preserves input order, so the
+//! rendered tables and serialized JSON of every parallelized experiment are
+//! required to match exactly between `--threads 1` and `--threads N`. A
+//! single test function owns the whole comparison because the thread count
+//! is a process-global setting.
 
 use serde::json::to_string;
 use shortcut_mining::accel::AccelConfig;
@@ -69,11 +69,13 @@ fn render_all() -> String {
 fn one_thread_and_many_threads_render_identical_bytes() {
     set_threads(Some(1));
     let serial = render_all();
-    set_threads(Some(4));
-    let parallel = render_all();
+    for threads in [2, 4, 8] {
+        set_threads(Some(threads));
+        let parallel = render_all();
+        assert_eq!(
+            serial, parallel,
+            "output at {threads} threads diverged from serial output"
+        );
+    }
     set_threads(None);
-    assert_eq!(
-        serial, parallel,
-        "parallel sweep output diverged from serial output"
-    );
 }

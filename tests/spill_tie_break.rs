@@ -10,7 +10,7 @@
 
 use serde::json::to_string;
 use shortcut_mining::accel::AccelConfig;
-use shortcut_mining::core::parallel::{par_map, set_threads, threads};
+use shortcut_mining::core::parallel::{par_map_stream, set_threads, threads};
 use shortcut_mining::core::{Experiment, Policy, SpillOrder};
 use shortcut_mining::model::zoo;
 
@@ -24,7 +24,8 @@ fn render() -> String {
         Policy::shortcut_mining(),
         Policy::shortcut_mining().with_spill_order(SpillOrder::NearestJunctionFirst),
     ];
-    let runs = par_map(&policies, threads(), |&policy| exp.run(&net, policy));
+    let runs = par_map_stream(&policies, threads(), |&p| exp.run(&net, p), |_, _| {}, None)
+        .expect("a dispatch without a cancel check is never cancelled");
     to_string(&runs).expect("run stats serialize")
 }
 
